@@ -367,8 +367,8 @@ BENCHMARK(E06_StoreIntegrityOverhead)
 // logical engine metric bit-identical across backends (parity_identical),
 // with the sequential wall-clock within noise of the pre-backend engine
 // (the other E06 rows track that) and the parallel arms within a sane
-// band of it (parity_pct — this box has one core, so speedups are out of
-// scope; the row exists to catch pathological pool overhead).
+// band of it (parity_pct — the row exists to catch pathological pool
+// overhead; end-to-end speedup is perfbench's backend.speedup_t4).
 void E06_BackendParity(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph g = gnp_with_degree(n, 16.0, 13);

@@ -53,6 +53,8 @@ IntegralMatchingResult integral_matching(
   // O(remaining) instead of an O(n) rescan.
   ActiveSet remaining_set(n);
   std::vector<VertexId> remaining;
+  // The previous iteration's residual (see the loop head).
+  std::optional<InducedSubgraph> residual;
   std::size_t start_iter = 0;
 
   // --- Outer durability: the A-iteration cursor, one hand-built section
@@ -161,10 +163,28 @@ IntegralMatchingResult integral_matching(
             "flushing the outer cursor (relaunch with --resume)");
       }
     }
-    // Residual graph on the unmatched vertices.
-    const auto actives = remaining_set.actives();
-    remaining.assign(actives.begin(), actives.end());
-    const InducedSubgraph sub = induced_subgraph(g, remaining);
+    // Residual graph on the unmatched vertices. A process's first residual
+    // is induced from g; every later one from the previous residual on its
+    // survivors, with the parent maps composed back to g. The survivors
+    // are taken in ascending local id, which is ascending id in g, so the
+    // nested residual is byte-identical to inducing from g — at the cost
+    // of the previous residual, not of g.
+    if (!residual) {
+      const auto actives = remaining_set.actives();
+      remaining.assign(actives.begin(), actives.end());
+      residual = induced_subgraph(g, remaining);
+    } else {
+      remaining.clear();
+      const auto& prev_vertex = residual->to_parent_vertex;
+      for (VertexId lv = 0; lv < prev_vertex.size(); ++lv) {
+        if (remaining_set.active(prev_vertex[lv])) remaining.push_back(lv);
+      }
+      InducedSubgraph next = induced_subgraph(residual->graph, remaining);
+      for (VertexId& v : next.to_parent_vertex) v = prev_vertex[v];
+      for (EdgeId& e : next.to_parent_edge) e = residual->to_parent_edge[e];
+      residual = std::move(next);
+    }
+    const InducedSubgraph& sub = *residual;
     if (sub.graph.num_edges() == 0) break;
 
     MatchingMpcOptions sim = options.simulation;

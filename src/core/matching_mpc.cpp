@@ -666,7 +666,7 @@ class MatchingMpcRun {
 
   /// Streams `n` packed records through per-sender buckets so each
   /// sender's batch drains sequentially through one outbox (the
-  /// flat-staging detour of the distribute records and freeze reports):
+  /// flat-staging detour of the freeze reports):
   /// per-sender order is the iteration order, exactly as a direct push
   /// loop would stage, so inboxes and Metrics are unchanged. `sender_of`
   /// and `packed_of` are indexed by item; `append` unpacks one record
@@ -829,176 +829,82 @@ class MatchingMpcRun {
     // activity filter did — but without ever touching frozen arcs, so this
     // loop's cost is proportional to the frontier-internal edge count.
     //
-    // Every word of v's burst — the vertex record and the same-machine
-    // edges — flows home_[v] -> mv, so the burst goes through one streamed
-    // outbox and stages as a single run-length record (the engine's
-    // counting and delivery then cost O(bursts), not O(words)). Per-sender
-    // word totals and per-receiver totals are unchanged from the separate
-    // record/edge loops this replaces, so every Metrics field is
-    // bit-identical; nothing reads these inboxes (the simulation is
-    // local), so the within-stream order is free.
+    // The scan is chunked over [0, k) (one chunk at one thread). A
+    // sequential pre-pass collects every frontier vertex's active-upper
+    // span first: the lazy accessors (materialize/compact) mutate
+    // ActiveArcs' shared scratch and may not run concurrently, but the
+    // spans they return for *distinct* vertices stay valid simultaneously
+    // (per-vertex segments of the arc buffer). The chunks then read only
+    // cached spans and plain arrays and write slot-private scratch: the
+    // matched edges and the per-vertex (id -> machine) records go to
+    // sender-bucketed StageShards, the counters to per-slot rows. Merges
+    // run in ascending slot order over a contiguous partition of [0, k),
+    // so local_pairs_, machine_edges_ and frontier_edges are the
+    // sequential scan's; draining the edges before the records gives every
+    // sender (home) exactly the sequential stream — its matched edges in
+    // scan order, then its records in snapshot order — so every inbox and
+    // every Metrics field is independent of the thread count. (remap()
+    // assigns dense ids in ascending snapshot order, so the dense index of
+    // snapshot[i] is i — no lookup needed.)
     machine_edges_.assign(m, 0);
     local_pairs_.clear();
-    matched_uppers_.clear();
     std::size_t frontier_edges = 0;
     const bool byte_exact = m <= 256;
-    // Flat staging rewards sender-sequential bursts (runs stage into each
-    // sender's contiguous stream), so the edge/record producers below take
-    // a collect-then-stream detour that groups traffic by sender — the
-    // scattered direct pushes would otherwise hop across two cache lines
-    // per word over `machines_` senders' staging tails. On the dense path
-    // the per-pair boxes make the direct push optimal and the detour is
-    // pure overhead. Both variants stage identical per-sender streams
-    // word for word — the choice, like the engine's own representation
-    // choice, is observable only as wall-clock.
-    const bool streamed_detour = !engine_->dense_staging_active();
     mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
-      // Parallel distribute scan. A sequential pre-pass collects every
-      // frontier vertex's active-upper span first: the lazy accessors
-      // (materialize/compact) mutate ActiveArcs' shared scratch and may
-      // not run concurrently, but the spans they return for *distinct*
-      // vertices stay valid simultaneously (per-vertex segments of the
-      // arc buffer). The chunked phase then reads only cached spans and
-      // plain arrays, writing slot-private scratch; merges are in
-      // ascending slot order over a contiguous partition of [0, k), so
-      // matched_uppers_, local_pairs_, machine_edges_, frontier_edges,
-      // and every staged engine stream are bit-identical to the
-      // sequential scan below.
-      upper_spans_.resize(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        upper_spans_[i] = active_arcs_.active_upper_neighbors(snapshot[i]);
-      }
-      const std::size_t slots = backend.threads();
-      if (slot_matched_.size() < slots) slot_matched_.resize(slots);
-      if (slot_pairs_.size() < slots) slot_pairs_.resize(slots);
-      slot_counts_.assign(slots * m, 0);
-      slot_frontier_.assign(slots, 0);
-      if (!streamed_detour) distribute_shards_.reset(slots, machines_);
-      backend.run_chunks(
-          0, k, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-            auto& matched = slot_matched_[slot];
-            auto& pairs = slot_pairs_[slot];
-            matched.clear();
-            pairs.clear();
-            std::size_t* medges = slot_counts_.data() + slot * m;
-            std::size_t fe = 0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const VertexId v = snapshot[i];
-              const std::uint32_t mv = machine_of_[i];
-              const auto mv8 = static_cast<std::uint8_t>(mv);
-              const auto uppers = upper_spans_[i];
-              fe += uppers.size();
-              for (std::size_t idx = 0; idx < uppers.size(); ++idx) {
-                const VertexId u = uppers[idx];
-                if (phase_machine8_[u] != mv8) continue;
-                if (!byte_exact && phase_machine_[u] != mv) continue;
-                if (streamed_detour) {
-                  matched.emplace_back(static_cast<VertexId>(i), u);
-                } else {
-                  distribute_shards_.add(
-                      slot, home_[v], mv,
-                      (static_cast<Word>(v) << 32) | u);
-                }
-                if (phase_can_freeze) {
-                  pairs.emplace_back(
-                      static_cast<VertexId>(i),
-                      static_cast<VertexId>(active_.dense_index(u)));
-                }
-                ++medges[mv];
+    upper_spans_.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      upper_spans_[i] = active_arcs_.active_upper_neighbors(snapshot[i]);
+    }
+    const std::size_t slots = backend.threads();
+    slot_pairs_.resize(slots);
+    for (auto& pairs : slot_pairs_) pairs.clear();  // empty chunks never run
+    slot_counts_.assign(slots * m, 0);
+    slot_frontier_.assign(slots, 0);
+    edge_shards_.reset(slots, machines_);
+    record_shards_.reset(slots, machines_);
+    backend.run_chunks(
+        0, k, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+          auto& pairs = slot_pairs_[slot];
+          std::size_t* medges = slot_counts_.data() + slot * m;
+          std::size_t fe = 0;
+          for (std::size_t i = lo; i < hi; ++i) {
+            const VertexId v = snapshot[i];
+            const std::uint32_t mv = machine_of_[i];
+            const auto mv8 = static_cast<std::uint8_t>(mv);
+            const auto uppers = upper_spans_[i];
+            fe += uppers.size();
+            for (std::size_t idx = 0; idx < uppers.size(); ++idx) {
+              const VertexId u = uppers[idx];
+              if (phase_machine8_[u] != mv8) continue;
+              if (!byte_exact && phase_machine_[u] != mv) continue;
+              edge_shards_.add(slot, home_[v], mv,
+                               (static_cast<Word>(v) << 32) | u);
+              if (phase_can_freeze) {
+                pairs.emplace_back(
+                    static_cast<VertexId>(i),
+                    static_cast<VertexId>(active_.dense_index(u)));
               }
+              ++medges[mv];
             }
-            slot_frontier_[slot] = fe;
-          });
-      for (std::size_t s = 0; s < slots; ++s) {
-        frontier_edges += slot_frontier_[s];
-        const std::size_t* medges = slot_counts_.data() + s * m;
-        for (std::size_t j = 0; j < m; ++j) machine_edges_[j] += medges[j];
-        matched_uppers_.insert(matched_uppers_.end(),
-                               slot_matched_[s].begin(),
-                               slot_matched_[s].end());
-        local_pairs_.insert(local_pairs_.end(), slot_pairs_[s].begin(),
-                            slot_pairs_[s].end());
-      }
-      if (!streamed_detour) {
-        distribute_shards_.drain(
-            backend, [&](std::uint32_t sender,
-                         std::span<const mpc::StageRecord> records) {
-              mpc::Outbox ob = engine_->outbox(sender);
-              for (const mpc::StageRecord& rec : records) {
-                ob.append(rec.to, rec.word);
-              }
-            });
-      }
-    } else {
-      for (std::size_t i = 0; i < k; ++i) {
-        const VertexId v = snapshot[i];
-        const std::uint32_t mv = machine_of_[i];
-        const auto mv8 = static_cast<std::uint8_t>(mv);
-        const auto uppers = active_arcs_.active_upper_neighbors(v);
-        frontier_edges += uppers.size();
-        for (std::size_t idx = 0; idx < uppers.size(); ++idx) {
-          const VertexId u = uppers[idx];
-          if (phase_machine8_[u] != mv8) continue;
-          if (!byte_exact && phase_machine_[u] != mv) continue;
-          if (streamed_detour) {
-            // Match rate is ~1/m per arc: matches land in a flat sequential
-            // scratch so the filter scan stays free of staging machinery,
-            // and are streamed as per-vertex runs right below.
-            matched_uppers_.emplace_back(static_cast<VertexId>(i), u);
-          } else {
-            engine_->push(home_[v], mv, (static_cast<Word>(v) << 32) | u);
+            record_shards_.add(slot, home_[v], mv, v);
           }
-          if (phase_can_freeze) {
-            local_pairs_.emplace_back(
-                static_cast<VertexId>(i),
-                static_cast<VertexId>(active_.dense_index(u)));
-          }
-          ++machine_edges_[mv];
-        }
-      }
+          slot_frontier_[slot] = fe;
+        });
+    for (std::size_t s = 0; s < slots; ++s) {
+      frontier_edges += slot_frontier_[s];
+      const std::size_t* medges = slot_counts_.data() + s * m;
+      for (std::size_t j = 0; j < m; ++j) machine_edges_[j] += medges[j];
+      local_pairs_.insert(local_pairs_.end(), slot_pairs_[s].begin(),
+                          slot_pairs_[s].end());
     }
     result.frontier_edges_per_phase.push_back(frontier_edges);
-    // Stream the matched edges home -> machine. Matches arrive v-major, so
-    // each vertex's burst shares one (home, machine) pair and stages as a
-    // single run through its home's outbox; per-sender push order is
-    // exactly the scan order, as before.
-    for (std::size_t idx = 0; idx < matched_uppers_.size();) {
-      const std::uint32_t i = matched_uppers_[idx].first;
-      const VertexId v = snapshot[i];
-      const std::uint32_t mv = machine_of_[i];
-      mpc::Outbox ob = engine_->outbox(home_[v]);
-      do {
-        ob.append(mv, (static_cast<Word>(v) << 32) |
-                          matched_uppers_[idx].second);
-        ++idx;
-      } while (idx < matched_uppers_.size() &&
-               matched_uppers_[idx].first == i);
-    }
-    // The per-vertex records. On the flat path they are bucketed by home
-    // first so each home's batch streams through one outbox in a single
-    // sequential burst — the engine-side staging writes stay
-    // cache-resident instead of hopping across a random sender's buffers
-    // per record. Bucket order preserves each home's snapshot order, so
-    // every sender's stream (and therefore every inbox and every Metrics
-    // field) is identical to the plain per-record push loop. (remap()
-    // assigns dense ids in ascending snapshot order, so the dense index
-    // of snapshot[i] is i — no lookup needed.)
-    if (streamed_detour) {
-      stream_by_sender(
-          k, [&](std::size_t i) { return home_[snapshot[i]]; },
-          [&](std::size_t i) {
-            return (static_cast<Word>(machine_of_[i]) << 32) | snapshot[i];
-          },
-          [](mpc::Outbox& ob, Word rec) {
-            ob.append(static_cast<std::size_t>(rec >> 32),
-                      rec & 0xffffffffULL);
-          });
-    } else {
-      for (std::size_t i = 0; i < k; ++i) {
-        engine_->push(home_[snapshot[i]], machine_of_[i], snapshot[i]);
-      }
-    }
+    const auto to_outbox = [&](std::uint32_t sender,
+                               std::span<const mpc::StageRecord> records) {
+      mpc::Outbox ob = engine_->outbox(sender);
+      for (const mpc::StageRecord& rec : records) ob.append(rec.to, rec.word);
+    };
+    edge_shards_.drain(backend, to_outbox);
+    record_shards_.drain(backend, to_outbox);
     engine_->exchange();
 
     std::size_t max_local_edges = 0;
@@ -1115,11 +1021,10 @@ class MatchingMpcRun {
     if (!phase_can_freeze) t_ += iters;
 
     // Machines report the freeze decisions; they become common knowledge.
-    // Same sender-grouping detour as the records above: on big flat
-    // clusters the reports are bucketed by their simulation machine so
-    // each sender's batch streams sequentially (identical per-sender
-    // order and Metrics either way).
-    if (streamed_detour) {
+    // On the flat path the reports are bucketed by their simulation
+    // machine first so each sender's batch streams sequentially
+    // (identical per-sender order and Metrics either way).
+    if (!engine_->dense_staging_active()) {
       stream_by_sender(
           frozen_this_phase_.size(),
           [&](std::size_t i) {
@@ -1408,10 +1313,6 @@ class MatchingMpcRun {
   std::vector<double> local_frozen_sum_;
   std::optional<CsrScratch> local_adj_;
   std::vector<std::pair<VertexId, VertexId>> local_pairs_;
-  /// Per-phase scratch: matched frontier arcs as (dense index, upper
-  /// neighbor), collected sequentially by the distribute scan and streamed
-  /// to the engine afterwards (see run_phase).
-  std::vector<std::pair<std::uint32_t, VertexId>> matched_uppers_;
   std::vector<std::size_t> machine_edges_;
   std::vector<std::pair<VertexId, std::uint64_t>> frozen_this_phase_;
   std::vector<VertexId> newly_frozen_;
@@ -1426,20 +1327,19 @@ class MatchingMpcRun {
   // Persistent announce staging (one vector per home machine).
   std::vector<std::vector<Word>> announce_parts_;
   std::vector<std::uint32_t> announce_touched_;
-  // Parallel-backend scratch (engine_->backend().parallel() only): cached
-  // active-upper spans from the sequential pre-pass, slot-private
-  // distribute collections (merged slot-ascending), and the sharded
-  // staging for the dense-path distribute pushes and announce records.
+  // Chunked distribute scratch: cached active-upper spans from the
+  // sequential pre-pass, slot-private collections (merged slot-ascending),
+  // and the sharded staging of the distribute edges and records; the
+  // announce records shard the same way on the parallel backend.
   std::vector<std::span<const VertexId>> upper_spans_;
-  std::vector<std::vector<std::pair<std::uint32_t, VertexId>>> slot_matched_;
   std::vector<std::vector<std::pair<VertexId, VertexId>>> slot_pairs_;
   std::vector<std::size_t> slot_counts_;
   std::vector<std::size_t> slot_frontier_;
-  mpc::StageShards distribute_shards_;
+  mpc::StageShards edge_shards_;
+  mpc::StageShards record_shards_;
   mpc::StageShards announce_shards_;
-  // Persistent sender-bucket staging for the distribute records and the
-  // freeze reports (one vector per machine, touched-only clearing; the
-  // two uses never overlap in time).
+  // Persistent sender-bucket staging for the freeze reports (one vector
+  // per machine, touched-only clearing).
   std::vector<std::vector<Word>> record_parts_;
   std::vector<std::uint32_t> record_touched_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace mpcg {
 
@@ -44,6 +45,40 @@ void GraphBuilder::add_edge(VertexId u, VertexId v) {
   pending_.push_back(Edge{u, v});
 }
 
+Graph Graph::from_canonical_edges(std::size_t num_vertices,
+                                  std::vector<Edge> edges) {
+  Graph g;
+  g.num_vertices_ = num_vertices;
+  g.offsets_.assign(num_vertices + 1, 0);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const Edge& ed = edges[e];
+    const bool ascending =
+        e == 0 || edges[e - 1].u < ed.u ||
+        (edges[e - 1].u == ed.u && edges[e - 1].v < ed.v);
+    if (ed.u >= ed.v || ed.v >= num_vertices || !ascending) {
+      throw std::invalid_argument(
+          "Graph::from_canonical_edges: edge " + std::to_string(e) +
+          " breaks canonical order (u < v < n, strictly ascending)");
+    }
+    ++g.offsets_[ed.u + 1];
+    ++g.offsets_[ed.v + 1];
+  }
+  for (std::size_t v = 0; v < num_vertices; ++v) {
+    g.offsets_[v + 1] += g.offsets_[v];
+  }
+  // Vertex w receives its lower neighbors (edges (u, w), u < w) before its
+  // upper ones (edges (w, v)), each group in list order: ascending.
+  g.arcs_.resize(2 * edges.size());
+  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    const Edge& ed = edges[e];
+    g.arcs_[cursor[ed.u]++] = Arc{ed.v, e};
+    g.arcs_[cursor[ed.v]++] = Arc{ed.u, e};
+  }
+  g.edges_ = std::move(edges);
+  return g;
+}
+
 Graph GraphBuilder::build() {
   std::sort(pending_.begin(), pending_.end(),
             [](const Edge& a, const Edge& b) {
@@ -51,37 +86,9 @@ Graph GraphBuilder::build() {
             });
   pending_.erase(std::unique(pending_.begin(), pending_.end()),
                  pending_.end());
-
-  Graph g;
-  g.num_vertices_ = num_vertices_;
-  g.edges_ = std::move(pending_);
+  std::vector<Edge> edges = std::move(pending_);
   pending_ = {};
-
-  std::vector<std::size_t> deg(num_vertices_ + 1, 0);
-  for (const Edge& e : g.edges_) {
-    ++deg[e.u];
-    ++deg[e.v];
-  }
-  g.offsets_.assign(num_vertices_ + 1, 0);
-  for (std::size_t v = 0; v < num_vertices_; ++v) {
-    g.offsets_[v + 1] = g.offsets_[v] + deg[v];
-  }
-  g.arcs_.resize(2 * g.edges_.size());
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (EdgeId e = 0; e < g.edges_.size(); ++e) {
-    const Edge& ed = g.edges_[e];
-    g.arcs_[cursor[ed.u]++] = Arc{ed.v, e};
-    g.arcs_[cursor[ed.v]++] = Arc{ed.u, e};
-  }
-  // Adjacency of each vertex is already sorted by neighbor because edges_
-  // were sorted lexicographically and arcs appended in order for the first
-  // endpoint; the second-endpoint arcs interleave, so sort per vertex.
-  for (std::size_t v = 0; v < num_vertices_; ++v) {
-    std::sort(g.arcs_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.arcs_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]),
-              [](const Arc& a, const Arc& b) { return a.to < b.to; });
-  }
-  return g;
+  return Graph::from_canonical_edges(num_vertices_, std::move(edges));
 }
 
 Graph make_graph(std::size_t num_vertices,

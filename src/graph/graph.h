@@ -74,6 +74,15 @@ class Graph {
     return offsets_.size() + arcs_.size() + edges_.size();
   }
 
+  /// Builds the graph whose edge list is `edges`, which must already be
+  /// canonical: u < v < num_vertices for every edge, and the list strictly
+  /// ascending lexicographically (hence duplicate-free). Edge ids are list
+  /// positions. One O(n + m) CSR scatter and no sort: lexicographic edge
+  /// order fills every adjacency in ascending neighbor order by itself.
+  /// Throws std::invalid_argument when `edges` is not canonical.
+  [[nodiscard]] static Graph from_canonical_edges(std::size_t num_vertices,
+                                                  std::vector<Edge> edges);
+
  private:
   friend class GraphBuilder;
 

@@ -1,17 +1,23 @@
 #include "graph/io.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace mpcg {
 
 namespace {
 
-std::string next_content_line(std::istream& in) {
+/// Next non-blank, non-comment line; `line_no` counts every physical line
+/// read (1-based, so it names the returned line).
+std::string next_content_line(std::istream& in, std::size_t& line_no) {
   std::string line;
   while (std::getline(in, line)) {
+    ++line_no;
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos) continue;
     if (line[first] == '#') continue;
@@ -20,10 +26,16 @@ std::string next_content_line(std::istream& in) {
   return {};
 }
 
+[[noreturn]] void reject(std::size_t line_no, const std::string& what) {
+  throw std::runtime_error("read_edge_list: line " + std::to_string(line_no) +
+                           ": " + what);
+}
+
 }  // namespace
 
 LoadedGraph read_edge_list(std::istream& in) {
-  const std::string header = next_content_line(in);
+  std::size_t line_no = 0;
+  const std::string header = next_content_line(in, line_no);
   std::istringstream head(header);
   std::size_t n = 0;
   std::size_t m = 0;
@@ -37,21 +49,29 @@ LoadedGraph read_edge_list(std::istream& in) {
   bool any_weight = false;
   bool any_plain = false;
   for (std::size_t i = 0; i < m; ++i) {
-    const std::string line = next_content_line(in);
+    const std::string line = next_content_line(in, line_no);
     if (line.empty()) {
       throw std::runtime_error("read_edge_list: fewer edges than declared");
     }
     std::istringstream row(line);
     std::size_t u = 0;
     std::size_t v = 0;
-    if (!(row >> u >> v)) {
-      throw std::runtime_error("read_edge_list: bad edge line: " + line);
-    }
-    if (u >= n || v >= n) {
-      throw std::runtime_error("read_edge_list: endpoint out of range");
-    }
-    double w = 0.0;
-    if (row >> w) {
+    if (!(row >> u >> v)) reject(line_no, "bad edge line: " + line);
+    if (u >= n || v >= n) reject(line_no, "endpoint out of range: " + line);
+    // An optional third token is the weight: a whole finite number >= 0.
+    // Nothing may follow it.
+    std::string token;
+    if (row >> token) {
+      char* end = nullptr;
+      const double w = std::strtod(token.c_str(), &end);
+      if (end == token.c_str() || *end != '\0') {
+        reject(line_no, "bad weight '" + token + "'");
+      }
+      if (!std::isfinite(w)) {
+        reject(line_no, "non-finite weight '" + token + "'");
+      }
+      if (w < 0.0) reject(line_no, "negative weight '" + token + "'");
+      if (row >> token) reject(line_no, "unexpected token '" + token + "'");
       any_weight = true;
       Edge e{static_cast<VertexId>(u), static_cast<VertexId>(v)};
       if (e.u > e.v) std::swap(e.u, e.v);

@@ -3,6 +3,7 @@
 // Format (whitespace/newline separated):
 //   line 1:  n m
 //   m lines: u v            [w]      — 0-based endpoints, optional weight
+//                                       (finite, >= 0; all rows or none)
 // Comments: lines starting with '#' are skipped. This covers the common
 // edge-list corpora (SNAP-style) after trivial preprocessing, so users can
 // feed real graphs to the library.
@@ -24,8 +25,9 @@ struct LoadedGraph {
   std::optional<std::vector<double>> weights;
 };
 
-/// Parses the format above. Throws std::runtime_error on malformed input
-/// (bad counts, out-of-range endpoints).
+/// Parses the format above. Throws std::runtime_error, naming the 1-based
+/// line, on malformed input: bad counts, out-of-range endpoints, a weight
+/// that is not a whole finite number >= 0, or a token after the weight.
 [[nodiscard]] LoadedGraph read_edge_list(std::istream& in);
 [[nodiscard]] LoadedGraph read_edge_list_file(const std::string& path);
 

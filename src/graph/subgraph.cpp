@@ -1,12 +1,31 @@
 #include "graph/subgraph.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace mpcg {
 
 namespace {
+
 constexpr VertexId kAbsent = static_cast<VertexId>(-1);
+
+/// Sorts the row edges[row..] (one local u, distinct v) by v, permuting
+/// the parallel parent-id list alongside.
+void sort_row(std::vector<Edge>& edges, std::vector<EdgeId>& parents,
+              std::size_t row, std::vector<std::pair<VertexId, EdgeId>>& tmp) {
+  tmp.clear();
+  for (std::size_t j = row; j < edges.size(); ++j) {
+    tmp.emplace_back(edges[j].v, parents[j]);
+  }
+  std::sort(tmp.begin(), tmp.end());
+  for (std::size_t j = row; j < edges.size(); ++j) {
+    edges[j].v = tmp[j - row].first;
+    parents[j] = tmp[j - row].second;
+  }
+}
+
 }  // namespace
 
 InducedSubgraph induced_subgraph(const Graph& g,
@@ -23,39 +42,39 @@ InducedSubgraph induced_subgraph(const Graph& g,
     local_of[v] = static_cast<VertexId>(i);
   }
 
-  // Collect local edges with their parent edge ids, canonicalized to
-  // local u < v. g is simple, so the (u, v) keys are unique; sorting the
-  // triples lexicographically puts them in exactly the order GraphBuilder
-  // assigns local edge ids, letting the parent ids ride along instead of
-  // being recovered by per-edge binary search afterwards.
-  struct LocalEdge {
-    VertexId u, v;
-    EdgeId parent;
-  };
-  std::vector<LocalEdge> local_edges;
-  for (const VertexId v : vertices) {
-    for (const Arc& a : g.arcs(v)) {
-      if (a.to > v && local_of[a.to] != kAbsent) {
-        VertexId lu = local_of[v];
-        VertexId lv = local_of[a.to];
-        if (lu > lv) std::swap(lu, lv);
-        local_edges.push_back({lu, lv, a.edge});
+  // Emit the local edges row by row in canonical order: row lu holds the
+  // neighbors with a larger local id, ascending, which is exactly the
+  // lexicographic order from_canonical_edges wants (and the order
+  // GraphBuilder assigns edge ids in), so the parent ids ride along
+  // without a sort. A sorted selection keeps parent order, so its rows
+  // are the parent's upper arcs, already ascending; any other selection
+  // scans the whole adjacency and sorts each row.
+  const bool sorted = std::is_sorted(vertices.begin(), vertices.end());
+  std::vector<Edge> edges;
+  std::vector<std::pair<VertexId, EdgeId>> row_scratch;
+  InducedSubgraph out;
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    const auto lu = static_cast<VertexId>(i);
+    std::span<const Arc> adj = g.arcs(vertices[i]);
+    if (sorted) {
+      adj = adj.subspan(static_cast<std::size_t>(
+          std::upper_bound(adj.begin(), adj.end(), vertices[i],
+                           [](VertexId v, const Arc& a) { return v < a.to; }) -
+          adj.begin()));
+    }
+    const std::size_t row = edges.size();
+    for (const Arc& a : adj) {
+      const VertexId lv = local_of[a.to];
+      if (lv != kAbsent && lv > lu) {
+        edges.push_back(Edge{lu, lv});
+        out.to_parent_edge.push_back(a.edge);
       }
     }
+    if (!sorted && edges.size() - row > 1) {
+      sort_row(edges, out.to_parent_edge, row, row_scratch);
+    }
   }
-  std::sort(local_edges.begin(), local_edges.end(),
-            [](const LocalEdge& a, const LocalEdge& b) {
-              return a.u < b.u || (a.u == b.u && a.v < b.v);
-            });
-
-  GraphBuilder builder(vertices.size());
-  InducedSubgraph out;
-  out.to_parent_edge.reserve(local_edges.size());
-  for (const LocalEdge& e : local_edges) {
-    builder.add_edge(e.u, e.v);
-    out.to_parent_edge.push_back(e.parent);
-  }
-  out.graph = builder.build();
+  out.graph = Graph::from_canonical_edges(vertices.size(), std::move(edges));
   out.to_parent_vertex = vertices;
   return out;
 }

@@ -28,6 +28,7 @@
 #ifndef MPCG_MPC_BACKEND_H
 #define MPCG_MPC_BACKEND_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -98,7 +99,18 @@ class SequentialBackend final : public ExecutionBackend {
 
 /// Fixed-size shared-memory pool. `threads - 1` workers are spawned; the
 /// run_chunks caller claims chunks alongside them, so progress never
-/// depends on the scheduler granting the workers a core (this box has one).
+/// depends on the scheduler granting the workers a core.
+///
+/// One reusable job slot carries every fork-join: the caller writes the
+/// job, then publishes it by bumping the generation half of `ticket_`.
+/// Workers claim chunk indices with a compare-and-swap on the whole ticket,
+/// so a straggler still holding an old generation can never claim a chunk
+/// of a newer job, and the job fields are read only after a successful
+/// claim (the job cannot finish, so cannot be rewritten, while a claimed
+/// chunk is outstanding). Idle workers spin briefly on the ticket, then
+/// park on a condition variable; the mutex is touched only to park and to
+/// wake a parked thread. Ranges too small to pay for a wake-up run inline
+/// on the caller (see backend.cpp for the grain and spin bound).
 class ParallelBackend final : public ExecutionBackend {
  public:
   explicit ParallelBackend(std::size_t threads);
@@ -118,31 +130,40 @@ class ParallelBackend final : public ExecutionBackend {
   /// so the quiesce contract is testable.
   [[nodiscard]] std::size_t idle_workers() const;
 
- private:
-  /// One fork-join. Heap-allocated per run_chunks and snapshotted by the
-  /// workers under the mutex, so a straggler from a finished job can only
-  /// ever drain its own (exhausted) chunk counter — never a later job's.
-  struct Job {
-    const ChunkFn* fn;
-    std::size_t begin;
-    std::size_t end;
-    std::size_t nchunks;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> pending;
-    std::vector<std::exception_ptr> errors;
-  };
+  /// Ranges with fewer than inline_grain() * threads() items run every
+  /// chunk on the caller, slot-ascending, without waking the pool.
+  [[nodiscard]] static std::size_t inline_grain() noexcept;
 
+ private:
   void worker_loop();
-  void drain(Job& job);
+  /// Claims and runs chunks of job `gen` until none is left.
+  void drain(std::uint64_t gen);
+  /// Runs chunk `slot` of [begin, begin + len) unless it is empty,
+  /// capturing its exception into errors_[slot].
+  void run_chunk(const ChunkFn& fn, std::size_t begin, std::size_t len,
+                 std::size_t slot);
 
   std::size_t nthreads_;
+  /// generation << 32 | next unclaimed chunk index.
+  std::atomic<std::uint64_t> ticket_{0};
+  /// Chunks of the current job not yet finished.
+  std::atomic<std::size_t> pending_{0};
+  // The job slot: written by the caller before publishing, read by a
+  // thread only after it claimed a chunk of that generation.
+  const ChunkFn* fn_ = nullptr;
+  std::size_t begin_ = 0;
+  std::size_t len_ = 0;
+  std::vector<std::exception_ptr> errors_;  // per slot
+
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;  // bumped per published job
-  bool stopping_ = false;
-  std::size_t idle_ = 0;  // workers parked in work_cv_ wait
-  std::shared_ptr<Job> job_;
+  std::atomic<bool> stopping_{false};
+  /// Set by quiesce(): spinning workers park at once.
+  std::atomic<bool> park_now_{false};
+  /// Set while the caller sleeps on done_cv_ for the last chunk.
+  std::atomic<bool> caller_parked_{false};
+  std::atomic<std::size_t> idle_{0};  // workers parked in work_cv_ wait
   std::vector<std::thread> pool_;
 };
 
@@ -211,11 +232,29 @@ class StageShards {
         }
       }
     }
+    // Chunk over the records, not the senders: a chunk drains the senders
+    // whose first record (in sender_list_ order) falls inside it. Every
+    // sender owns at least one record, so the starts strictly ascend and
+    // each sender lands in exactly one chunk; a few hundred senders
+    // carrying tens of thousands of records still spread over the pool.
+    sender_start_.clear();
+    std::size_t total = 0;
+    for (const std::uint32_t snd : sender_list_) {
+      seen_[snd] = 0;
+      sender_start_.push_back(total);
+      for (std::size_t s = 0; s < slots_used_; ++s) {
+        total += parts_[s][snd].size();
+      }
+    }
     backend.run_chunks(
-        0, sender_list_.size(),
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint32_t snd = sender_list_[i];
+        0, total, [&](std::size_t, std::size_t lo, std::size_t hi) {
+          const auto first = std::lower_bound(sender_start_.begin(),
+                                              sender_start_.end(), lo);
+          const auto last = std::lower_bound(first, sender_start_.end(), hi);
+          for (auto it = first; it != last; ++it) {
+            const std::uint32_t snd =
+                sender_list_[static_cast<std::size_t>(
+                    it - sender_start_.begin())];
             for (std::size_t s = 0; s < slots_used_; ++s) {
               const std::vector<StageRecord>& bucket = parts_[s][snd];
               if (!bucket.empty()) {
@@ -224,7 +263,6 @@ class StageShards {
             }
           }
         });
-    for (const std::uint32_t snd : sender_list_) seen_[snd] = 0;
   }
 
   /// Senders the last drain visited (first-touched order — fine for
@@ -240,6 +278,7 @@ class StageShards {
   std::vector<std::vector<std::vector<StageRecord>>> parts_;  // [slot][snd]
   std::vector<std::vector<std::uint32_t>> touched_;           // [slot]
   std::vector<std::uint32_t> sender_list_;                    // drain order
+  std::vector<std::size_t> sender_start_;  // first record index per sender
   std::vector<char> seen_;
 };
 

@@ -11,12 +11,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/integral_matching.h"
@@ -40,6 +39,7 @@ using mpc::ParallelBackend;
 using mpc::SequentialBackend;
 using mpc::StageShards;
 using testing::make_family;
+using testing::TempDir;
 
 /// Bitwise metrics equality — Metrics has unique object representations
 /// (it is a disk format), so memcmp is exact.
@@ -53,28 +53,6 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl =
-        std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
-        "/mpcg_backend_test.XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (mkdtemp(buf.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path = buf.data();
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
 
 // ------------------------------------------------------- chunk contract
 
@@ -180,6 +158,119 @@ TEST(Backend, QuiesceParksEveryWorker) {
     b.quiesce();
     EXPECT_EQ(b.idle_workers(), 3U);
   }
+}
+
+// --------------------------------------------- pool fast path contract
+
+/// The published chunk boundaries: chunk k of T covers
+/// [begin + len*k/T, begin + len*(k+1)/T).
+std::array<std::size_t, 3> published_chunk(std::size_t begin, std::size_t end,
+                                           std::size_t slot, std::size_t t) {
+  const std::size_t len = end - begin;
+  return {slot, begin + len * slot / t, begin + len * (slot + 1) / t};
+}
+
+TEST(Backend, ChunksFollowThePublishedFormulaAroundTheInlineGrain) {
+  for (const std::size_t threads : {2U, 4U}) {
+    ParallelBackend b(threads);
+    const std::size_t cut = ParallelBackend::inline_grain() * threads;
+    for (const std::size_t len : {cut - 1, cut, cut + 1, 3 * cut + 7}) {
+      const std::size_t begin = 5;
+      const std::size_t end = begin + len;
+      const auto caller = std::this_thread::get_id();
+      std::mutex mu;
+      std::vector<std::array<std::size_t, 3>> calls;
+      bool all_on_caller = true;
+      b.run_chunks(begin, end,
+                   [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+                     std::lock_guard<std::mutex> lock(mu);
+                     calls.push_back({slot, lo, hi});
+                     if (std::this_thread::get_id() != caller) {
+                       all_on_caller = false;
+                     }
+                   });
+      if (len < cut) {
+        // Inline: the caller runs every chunk itself, slot-ascending.
+        EXPECT_TRUE(all_on_caller) << "len=" << len;
+      } else {
+        std::sort(calls.begin(), calls.end());
+      }
+      ASSERT_EQ(calls.size(), threads) << "len=" << len;
+      for (std::size_t k = 0; k < threads; ++k) {
+        EXPECT_EQ(calls[k], published_chunk(begin, end, k, threads))
+            << "len=" << len << " slot=" << k;
+      }
+    }
+  }
+}
+
+TEST(Backend, InlinePathRunsEveryChunkAndLowestSlotExceptionWins) {
+  ParallelBackend b(4);
+  const std::size_t below = ParallelBackend::inline_grain() * 4 - 1;
+  for (const std::size_t len : {below, 4 * below}) {  // inline, then pooled
+    std::atomic<std::size_t> ran{0};
+    try {
+      b.run_chunks(0, len, [&](std::size_t slot, std::size_t, std::size_t) {
+        ran.fetch_add(1);
+        if (slot == 1 || slot == 3) {
+          throw std::runtime_error("slot " + std::to_string(slot));
+        }
+      });
+      FAIL() << "run_chunks swallowed the exceptions";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "slot 1") << "len=" << len;
+    }
+    EXPECT_EQ(ran.load(), 4U) << "len=" << len;
+  }
+}
+
+TEST(Backend, BackToBackJobsRunEveryChunkExactlyOnce) {
+  // Straggler safety of the reusable job slot: 100k jobs of mixed sizes,
+  // inline and pooled interleaved, each chunk stamped with its job. A
+  // worker that claimed a chunk of a finished job, or ran one twice, would
+  // leave a wrong stamp or a run count other than one.
+  ParallelBackend b(4);
+  const std::size_t cut = ParallelBackend::inline_grain() * 4;
+  const std::size_t sizes[] = {1, 3, 17, cut - 1, cut, cut + 1, 2 * cut + 5};
+  std::array<std::atomic<std::size_t>, 4> runs{};
+  std::array<std::atomic<std::size_t>, 4> stamp{};
+  std::array<std::array<std::size_t, 2>, 4> bounds{};
+  std::size_t bad = 0;
+  for (std::size_t job = 1; job <= 100000; ++job) {
+    const std::size_t begin = job % 13;
+    const std::size_t end = begin + sizes[job % std::size(sizes)];
+    b.run_chunks(begin, end,
+                 [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+                   runs[slot].fetch_add(1);
+                   stamp[slot].store(job);
+                   bounds[slot] = {lo, hi};
+                 });
+    for (std::size_t k = 0; k < 4; ++k) {
+      const auto want = published_chunk(begin, end, k, 4);
+      const std::size_t expect_runs = want[1] < want[2] ? 1 : 0;
+      if (runs[k].exchange(0) != expect_runs) ++bad;
+      if (expect_runs == 1 &&
+          (stamp[k].load() != job || bounds[k][0] != want[1] ||
+           bounds[k][1] != want[2])) {
+        ++bad;
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0U);
+}
+
+TEST(Backend, QuiesceParksEveryWorkerAfterATinyJobBurst) {
+  ParallelBackend b(4);
+  const std::size_t cut = ParallelBackend::inline_grain() * 4;
+  std::atomic<std::size_t> count{0};
+  const auto add = [&](std::size_t, std::size_t lo, std::size_t hi) {
+    count.fetch_add(hi - lo);
+  };
+  b.run_chunks(0, cut, add);  // wake the pool once
+  for (int job = 0; job < 10000; ++job) b.run_chunks(0, 5, add);
+  EXPECT_EQ(count.load(), cut + 50000);
+  b.quiesce();
+  EXPECT_EQ(b.idle_workers(), 3U);
 }
 
 TEST(Backend, MakeBackendGatesOnThreadCount) {

@@ -42,29 +42,7 @@ using fault::DurableRing;
 using fault::DurableSection;
 using fault::ResumableInterrupt;
 using testing::make_family;
-
-/// Self-cleaning scratch directory for ring/file tests.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl =
-        std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
-        "/mpcg_durable_test.XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (mkdtemp(buf.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path = buf.data();
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
+using testing::TempDir;
 
 std::vector<char> slurp(const std::string& p) {
   std::ifstream in(p, std::ios::binary);

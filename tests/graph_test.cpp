@@ -126,6 +126,101 @@ TEST(InducedSubgraph, CountMatchesBuild) {
             induced_subgraph(g, half).graph.num_edges());
 }
 
+TEST(Graph, FromCanonicalEdgesMatchesTheBuilder) {
+  Rng rng(9);
+  const Graph g = erdos_renyi_gnp(80, 0.1, rng);
+  const std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+  const Graph h = Graph::from_canonical_edges(g.num_vertices(), edges);
+  ASSERT_EQ(h.num_edges(), g.num_edges());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto a = g.arcs(v);
+    const auto b = h.arcs(v);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].to, b[i].to);
+      EXPECT_EQ(a[i].edge, b[i].edge);
+    }
+  }
+}
+
+TEST(Graph, FromCanonicalEdgesRejectsNonCanonicalLists) {
+  const std::vector<std::vector<Edge>> bad = {
+      {{1, 0}},             // u > v
+      {{1, 1}},             // self-loop
+      {{0, 3}},             // v out of range
+      {{0, 2}, {0, 1}},     // descending
+      {{0, 1}, {0, 1}},     // duplicate
+  };
+  for (const auto& edges : bad) {
+    EXPECT_THROW((void)Graph::from_canonical_edges(3, edges),
+                 std::invalid_argument);
+  }
+}
+
+/// Asserts that two induced subgraphs are the same graph with the same
+/// parent maps.
+void expect_same_subgraph(const InducedSubgraph& a, const InducedSubgraph& b) {
+  ASSERT_EQ(a.graph.num_vertices(), b.graph.num_vertices());
+  ASSERT_EQ(a.graph.num_edges(), b.graph.num_edges());
+  for (EdgeId e = 0; e < a.graph.num_edges(); ++e) {
+    EXPECT_EQ(a.graph.edge(e), b.graph.edge(e)) << "edge " << e;
+  }
+  EXPECT_EQ(a.to_parent_vertex, b.to_parent_vertex);
+  EXPECT_EQ(a.to_parent_edge, b.to_parent_edge);
+}
+
+TEST(InducedSubgraph, UnsortedSelectionMatchesTheBuilderReference) {
+  Rng rng(10);
+  const Graph g = erdos_renyi_gnp(120, 0.08, rng);
+  std::vector<VertexId> pick;
+  for (VertexId v = 0; v < 120; v += 2) pick.push_back((v * 37) % 120);
+  const auto sub = induced_subgraph(g, pick);
+  // Reference: every parent edge inside the selection, through the
+  // GraphBuilder's sort, parent ids recovered by lookup.
+  constexpr VertexId kAbsent = static_cast<VertexId>(-1);
+  std::vector<VertexId> local(120, kAbsent);
+  for (std::size_t i = 0; i < pick.size(); ++i) {
+    local[pick[i]] = static_cast<VertexId>(i);
+  }
+  GraphBuilder builder(pick.size());
+  for (const Edge& e : g.edges()) {
+    if (local[e.u] != kAbsent && local[e.v] != kAbsent) {
+      builder.add_edge(local[e.u], local[e.v]);
+    }
+  }
+  InducedSubgraph ref;
+  ref.graph = builder.build();
+  ref.to_parent_vertex = pick;
+  for (const Edge& e : ref.graph.edges()) {
+    ref.to_parent_edge.push_back(g.find_edge(pick[e.u], pick[e.v]));
+  }
+  expect_same_subgraph(sub, ref);
+}
+
+TEST(InducedSubgraph, NestedSortedSelectionsComposeToTheDirectOne) {
+  // integral_matching's outer loop relies on this: inducing on S' from the
+  // subgraph induced on S ⊇ S' (both ascending), then composing the parent
+  // maps, is byte-identical to inducing on S' directly.
+  Rng rng(11);
+  const Graph g = erdos_renyi_gnp(150, 0.06, rng);
+  std::vector<VertexId> outer;
+  std::vector<VertexId> inner_local;
+  std::vector<VertexId> inner;
+  for (VertexId v = 0; v < 150; ++v) {
+    if (v % 3 == 0) continue;
+    if (v % 4 != 1) {
+      inner_local.push_back(static_cast<VertexId>(outer.size()));
+      inner.push_back(v);
+    }
+    outer.push_back(v);
+  }
+  const auto first = induced_subgraph(g, outer);
+  auto nested = induced_subgraph(first.graph, inner_local);
+  for (VertexId& v : nested.to_parent_vertex) v = first.to_parent_vertex[v];
+  for (EdgeId& e : nested.to_parent_edge) e = first.to_parent_edge[e];
+  expect_same_subgraph(nested, induced_subgraph(g, inner));
+}
+
 TEST(InducedSubgraph, EmptySelection) {
   const Graph g = triangle_plus_pendant();
   const auto sub = induced_subgraph(g, {});

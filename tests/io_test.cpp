@@ -1,4 +1,5 @@
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +65,47 @@ TEST(GraphIo, RejectsOutOfRangeEndpoint) {
 TEST(GraphIo, RejectsMixedWeightedness) {
   std::stringstream in("3 2\n0 1 2.5\n1 2\n");
   EXPECT_THROW((void)read_edge_list(in), std::runtime_error);
+}
+
+/// The message read_edge_list throws for `text`, or "" if it parses.
+std::string read_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)read_edge_list(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(GraphIo, RejectsJunkAfterEndpoints) {
+  const std::string err = read_error("# c\n3 2\n0 1 junk\n1 2\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("'junk'"), std::string::npos) << err;
+}
+
+TEST(GraphIo, RejectsNanWeight) {
+  const std::string err = read_error("3 2\n0 1 1.0\n1 2 nan\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("non-finite weight 'nan'"), std::string::npos) << err;
+}
+
+TEST(GraphIo, RejectsInfWeight) {
+  const std::string err = read_error("3 2\n0 1 inf\n1 2 1.0\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("non-finite weight 'inf'"), std::string::npos) << err;
+}
+
+TEST(GraphIo, RejectsNegativeWeight) {
+  const std::string err = read_error("3 2\n0 1 2.5\n\n1 2 -0.5\n");
+  EXPECT_NE(err.find("line 4"), std::string::npos) << err;
+  EXPECT_NE(err.find("negative weight '-0.5'"), std::string::npos) << err;
+}
+
+TEST(GraphIo, RejectsTokenAfterWeight) {
+  const std::string err = read_error("3 1\n0 1 2.5 7\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("unexpected token '7'"), std::string::npos) << err;
 }
 
 TEST(GraphIo, WeightSizeMismatchThrows) {
