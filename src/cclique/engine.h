@@ -241,8 +241,8 @@ class Engine {
   /// over the point-to-point streams, the broadcast store, and the
   /// checkpoint generations, observable on a clean run only as
   /// Metrics::scrub_passes.  Inert without `integrity` (no digests exist).
-  /// `threads` selects the execution backend (see mpc/backend.h): 1 = the
-  /// sequential reference, > 1 = a shared-memory pool the drivers run
+  /// `threads` selects the execution backend (see mpc/backend.h): 1 runs
+  /// every chunk on the caller, > 1 = a shared-memory pool the drivers run
   /// their per-player local loops through (outputs and all logical Metrics
   /// are bit-identical across every value).
   explicit Engine(std::size_t num_players, bool strict = true,

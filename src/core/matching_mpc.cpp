@@ -665,9 +665,8 @@ class MatchingMpcRun {
   }
 
   /// Streams `n` packed records through per-sender buckets so each
-  /// sender's batch drains sequentially through one outbox (the
-  /// flat-staging detour of the freeze reports):
-  /// per-sender order is the iteration order, exactly as a direct push
+  /// sender's batch drains sequentially through one outbox (the freeze
+  /// reports): per-sender order is the iteration order, exactly as a direct push
   /// loop would stage, so inboxes and Metrics are unchanged. `sender_of`
   /// and `packed_of` are indexed by item; `append` unpacks one record
   /// into the sender's outbox.
@@ -699,59 +698,40 @@ class MatchingMpcRun {
                 const std::vector<VertexId>& removed) {
     if (frozen.empty() && removed.empty()) return;
     mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
-      // Chunked over the concatenated (frozen, removed) announcement list;
-      // per-home record order is the global list order (slot-ascending
-      // drain over a contiguous partition), so every home's staged part is
-      // identical to the sequential staging below.
-      const std::size_t nf = frozen.size();
-      const std::size_t total = nf + removed.size();
-      announce_shards_.reset(backend.threads(), machines_);
-      backend.run_chunks(
-          0, total, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (i < nf) {
-                const auto& [v, tf] = frozen[i];
-                announce_shards_.add(slot, home_[v], 0,
-                                     (static_cast<Word>(v) << 32) | tf);
-              } else {
-                const VertexId v = removed[i - nf];
-                announce_shards_.add(
-                    slot, home_[v], 0,
-                    (static_cast<Word>(v) << 32) | 0xffffffffULL);
-              }
+    // Chunked over the concatenated (frozen, removed) announcement list;
+    // per-home record order is the global list order (slot-ascending drain
+    // over a contiguous partition).
+    const std::size_t nf = frozen.size();
+    const std::size_t total = nf + removed.size();
+    announce_shards_.reset(backend.threads(), machines_);
+    backend.run_chunks(
+        0, total, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (i < nf) {
+              const auto& [v, tf] = frozen[i];
+              announce_shards_.add(slot, home_[v], 0,
+                                   (static_cast<Word>(v) << 32) | tf);
+            } else {
+              const VertexId v = removed[i - nf];
+              announce_shards_.add(
+                  slot, home_[v], 0,
+                  (static_cast<Word>(v) << 32) | 0xffffffffULL);
             }
-          });
-      announce_shards_.drain(
-          backend, [&](std::uint32_t sender,
-                       std::span<const mpc::StageRecord> records) {
-            auto& part = announce_parts_[sender];
-            for (const mpc::StageRecord& rec : records) {
-              part.push_back(rec.word);
-            }
-          });
-      for (const std::uint32_t h : announce_shards_.drained_senders()) {
-        announce_touched_.push_back(h);
-      }
-    } else {
-      const auto stage = [&](VertexId v, Word word) {
-        auto& part = announce_parts_[home_[v]];
-        if (part.empty()) announce_touched_.push_back(home_[v]);
-        part.push_back(word);
-      };
-      for (const auto& [v, tf] : frozen) {
-        stage(v, (static_cast<Word>(v) << 32) | tf);
-      }
-      for (const VertexId v : removed) {
-        stage(v, (static_cast<Word>(v) << 32) | 0xffffffffULL);
-      }
-    }
+          }
+        });
+    announce_shards_.drain(
+        backend, [&](std::uint32_t sender,
+                     std::span<const mpc::StageRecord> records) {
+          auto& part = announce_parts_[sender];
+          for (const mpc::StageRecord& rec : records) {
+            part.push_back(rec.word);
+          }
+        });
     const auto gathered = mpc::gather_to(*engine_, 0, announce_parts_);
     mpc::broadcast_view(*engine_, 0, gathered);
-    for (const std::uint32_t h : announce_touched_) {
+    for (const std::uint32_t h : announce_shards_.drained_senders()) {
       announce_parts_[h].clear();
     }
-    announce_touched_.clear();
   }
 
   void run_phase(double d, Rng& phase_rng, MatchingMpcResult& result) {
@@ -1021,28 +1001,20 @@ class MatchingMpcRun {
     if (!phase_can_freeze) t_ += iters;
 
     // Machines report the freeze decisions; they become common knowledge.
-    // On the flat path the reports are bucketed by their simulation
-    // machine first so each sender's batch streams sequentially
-    // (identical per-sender order and Metrics either way).
-    if (!engine_->dense_staging_active()) {
-      stream_by_sender(
-          frozen_this_phase_.size(),
-          [&](std::size_t i) {
-            return machine_of_[active_.dense_index(frozen_this_phase_[i].first)];
-          },
-          [&](std::size_t i) {
-            const auto& [v, tf] = frozen_this_phase_[i];
-            return (static_cast<Word>(v) << 32) | tf;
-          },
-          [this](mpc::Outbox& ob, Word rec) {
-            ob.append(home_[static_cast<VertexId>(rec >> 32)], rec);
-          });
-    } else {
-      for (const auto& [v, tf] : frozen_this_phase_) {
-        engine_->push(machine_of_[active_.dense_index(v)], home_[v],
-                      (static_cast<Word>(v) << 32) | tf);
-      }
-    }
+    // The reports are bucketed by their simulation machine first so each
+    // sender's batch streams sequentially through one outbox.
+    stream_by_sender(
+        frozen_this_phase_.size(),
+        [&](std::size_t i) {
+          return machine_of_[active_.dense_index(frozen_this_phase_[i].first)];
+        },
+        [&](std::size_t i) {
+          const auto& [v, tf] = frozen_this_phase_[i];
+          return (static_cast<Word>(v) << 32) | tf;
+        },
+        [this](mpc::Outbox& ob, Word rec) {
+          ob.append(home_[static_cast<VertexId>(rec >> 32)], rec);
+        });
     engine_->exchange();
 
     // The phase's freezes become visible to the home-side load sums below:
@@ -1326,11 +1298,10 @@ class MatchingMpcRun {
 
   // Persistent announce staging (one vector per home machine).
   std::vector<std::vector<Word>> announce_parts_;
-  std::vector<std::uint32_t> announce_touched_;
   // Chunked distribute scratch: cached active-upper spans from the
   // sequential pre-pass, slot-private collections (merged slot-ascending),
   // and the sharded staging of the distribute edges and records; the
-  // announce records shard the same way on the parallel backend.
+  // announce records shard the same way.
   std::vector<std::span<const VertexId>> upper_spans_;
   std::vector<std::vector<std::pair<VertexId, VertexId>>> slot_pairs_;
   std::vector<std::size_t> slot_counts_;

@@ -267,59 +267,53 @@ class MisCcliqueRun {
     commit_via_broadcasts(mis_new);
   }
 
+  /// Refills route_stream_ from a chunked loop over [begin, end):
+  /// stage(out, i) appends item i's words to its chunk's stream, and the
+  /// chunk streams are concatenated slot-ascending — append_stream's
+  /// boundary merge makes that the stream of one loop over the range.
+  template <typename StageFn>
+  void collect_slot_streams(std::size_t begin, std::size_t end,
+                            StageFn&& stage) {
+    mpc::ExecutionBackend& backend = engine_.backend();
+    const std::size_t slots = backend.threads();
+    // Clear every slot up front: run_chunks skips empty chunks, which must
+    // not leak a previous phase's stream.
+    if (slot_streams_.size() < slots) slot_streams_.resize(slots);
+    for (std::size_t s = 0; s < slots; ++s) slot_streams_[s].clear();
+    backend.run_chunks(
+        begin, end, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) stage(slot_streams_[slot], i);
+        });
+    route_stream_.clear();
+    for (std::size_t s = 0; s < slots; ++s) {
+      route_stream_.append_stream(slot_streams_[s]);
+    }
+  }
+
   /// Window-induced residual edges routed to the leader (Lenzen), greedy
   /// through the window ranks at the leader.
   void rank_phase(std::size_t lo, std::size_t hi, MisCcliqueResult& result) {
     // Run-length staging: each vertex's window edges all flow v -> leader,
     // so a burst is one run descriptor over the word stream instead of a
     // 16-byte Message record per edge.
-    route_stream_.clear();
-    mpc::ExecutionBackend& backend = engine_.backend();
-    if (backend.parallel()) {
-      // Sequential pre-pass (the lazy alive_upper_arcs accessor mutates
-      // shared scratch), then per-chunk streams concatenated slot-ascending
-      // — append_stream's boundary merge makes that the sequential stream.
-      arc_spans_.assign(hi - lo, {});
-      for (std::size_t r = lo; r < hi; ++r) {
-        const VertexId v = perm_[r];
-        if (residual_.alive(v)) {
-          arc_spans_[r - lo] = residual_.alive_upper_arcs(v);
-        }
-      }
-      // Clear every slot up front: run_chunks skips empty chunks, which
-      // must not leak a previous phase's stream.
-      if (slot_streams_.size() < backend.threads()) {
-        slot_streams_.resize(backend.threads());
-      }
-      for (std::size_t s = 0; s < backend.threads(); ++s) {
-        slot_streams_[s].clear();
-      }
-      backend.run_chunks(
-          lo, hi, [&](std::size_t slot, std::size_t clo, std::size_t chi) {
-            cclique::RouteStream& out = slot_streams_[slot];
-            for (std::size_t r = clo; r < chi; ++r) {
-              const VertexId v = perm_[r];
-              for (const Arc& a : arc_spans_[r - lo]) {
-                if (rank_of_[a.to] >= lo && rank_of_[a.to] < hi) {
-                  out.append(v, 0, encode_pair(v, a.to));
-                }
-              }
-            }
-          });
-      for (std::size_t s = 0; s < backend.threads(); ++s) {
-        route_stream_.append_stream(slot_streams_[s]);
-      }
-    } else {
-      for (std::size_t r = lo; r < hi; ++r) {
-        const VertexId v = perm_[r];
-        if (!residual_.alive(v)) continue;
-        for (const Arc& a : residual_.alive_upper_arcs(v)) {
-          if (rank_of_[a.to] >= lo && rank_of_[a.to] < hi) {
-            route_stream_.append(v, 0, encode_pair(v, a.to));
-          }
-        }
+    // Sequential pre-pass: the lazy alive_upper_arcs accessor mutates
+    // shared scratch, so the chunked staging reads cached spans.
+    arc_spans_.assign(hi - lo, {});
+    for (std::size_t r = lo; r < hi; ++r) {
+      const VertexId v = perm_[r];
+      if (residual_.alive(v)) {
+        arc_spans_[r - lo] = residual_.alive_upper_arcs(v);
       }
     }
+    collect_slot_streams(
+        lo, hi, [&](cclique::RouteStream& out, std::size_t r) {
+          const VertexId v = perm_[r];
+          for (const Arc& a : arc_spans_[r - lo]) {
+            if (rank_of_[a.to] >= lo && rank_of_[a.to] < hi) {
+              out.append(v, 0, encode_pair(v, a.to));
+            }
+          }
+        });
     result.window_edges_per_phase.push_back(route_stream_.size());
     const auto& delivered = engine_.lenzen_route_view(route_stream_);
 
@@ -369,41 +363,18 @@ class MisCcliqueRun {
     // Canonical-edge iteration over the residual: (u ascending, v
     // ascending) is exactly the alive-alive filter of g_.edges() in edge-id
     // order, touching only surviving arcs. Staged as one run per vertex.
-    route_stream_.clear();
-    mpc::ExecutionBackend& backend = engine_.backend();
-    if (backend.parallel()) {
-      const std::span<const VertexId> alive = residual_.alive_vertices();
-      arc_spans_.assign(alive.size(), {});
-      for (std::size_t i = 0; i < alive.size(); ++i) {
-        arc_spans_[i] = residual_.alive_upper_arcs(alive[i]);
-      }
-      if (slot_streams_.size() < backend.threads()) {
-        slot_streams_.resize(backend.threads());
-      }
-      for (std::size_t s = 0; s < backend.threads(); ++s) {
-        slot_streams_[s].clear();
-      }
-      backend.run_chunks(
-          0, alive.size(),
-          [&](std::size_t slot, std::size_t clo, std::size_t chi) {
-            cclique::RouteStream& out = slot_streams_[slot];
-            for (std::size_t i = clo; i < chi; ++i) {
-              const VertexId u = alive[i];
-              for (const Arc& a : arc_spans_[i]) {
-                out.append(u, 0, encode_pair(u, a.to));
-              }
-            }
-          });
-      for (std::size_t s = 0; s < backend.threads(); ++s) {
-        route_stream_.append_stream(slot_streams_[s]);
-      }
-    } else {
-      for (const VertexId u : residual_.alive_vertices()) {
-        for (const Arc& a : residual_.alive_upper_arcs(u)) {
-          route_stream_.append(u, 0, encode_pair(u, a.to));
-        }
-      }
+    const std::span<const VertexId> alive = residual_.alive_vertices();
+    arc_spans_.assign(alive.size(), {});
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      arc_spans_[i] = residual_.alive_upper_arcs(alive[i]);
     }
+    collect_slot_streams(
+        0, alive.size(), [&](cclique::RouteStream& out, std::size_t i) {
+          const VertexId u = alive[i];
+          for (const Arc& a : arc_spans_[i]) {
+            out.append(u, 0, encode_pair(u, a.to));
+          }
+        });
     result.final_gather_edges = route_stream_.size();
     const auto& delivered = engine_.lenzen_route_view(route_stream_);
 
@@ -443,9 +414,9 @@ class MisCcliqueRun {
   std::vector<char> dying_;
   /// Run-length staging for the Lenzen gathers (persistent across phases).
   cclique::RouteStream route_stream_;
-  /// Parallel-backend staging scratch: per-vertex alive-arc spans cached by
-  /// the sequential pre-pass, plus one RouteStream per chunk slot
-  /// (concatenated slot-ascending into route_stream_).
+  /// Staging scratch: per-vertex alive-arc spans cached by the sequential
+  /// pre-pass, plus one RouteStream per chunk slot (concatenated
+  /// slot-ascending into route_stream_).
   std::vector<std::span<const Arc>> arc_spans_;
   std::vector<cclique::RouteStream> slot_streams_;
   std::vector<VertexId> mis_;

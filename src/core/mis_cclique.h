@@ -41,7 +41,7 @@ struct MisCcliqueOptions {
   std::size_t gather_budget = 0;
   bool strict = true;
   /// Execution-backend width (see cclique::Engine's threads parameter):
-  /// 1 = the sequential reference; > 1 builds the Lenzen route streams
+  /// 1 runs every chunk on the caller; > 1 builds the Lenzen route streams
   /// over a shared-memory pool, bit-identical to 1.
   std::size_t threads = 1;
   /// Deterministic fault schedule consulted by the engine at round

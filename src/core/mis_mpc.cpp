@@ -341,7 +341,7 @@ class MisMpcRun {
 
   /// Replays the collected staging records through the engine outboxes,
   /// distinct senders in parallel (per-sender engine staging is disjoint;
-  /// per-sender record order is the sequential iteration order).
+  /// per-sender record order is the iteration order).
   void drain_stage_shards(mpc::ExecutionBackend& backend) {
     stage_shards_.drain(
         backend,
@@ -360,43 +360,30 @@ class MisMpcRun {
     // id) to the leader: one outbox per vertex burst — every word flows
     // home_[v] -> 0, so a burst stages as a single run.
     mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
-      // Sequential pre-pass: the lazy alive_upper_arcs accessor mutates
-      // shared per-vertex segment state, so materialize every window span
-      // first (spans for distinct vertices stay valid simultaneously);
-      // dead vertices leave empty spans.
-      arc_spans_.assign(hi - lo, {});
-      for (std::size_t r = lo; r < hi; ++r) {
-        const VertexId v = perm_[r];
-        if (residual_.alive(v)) {
-          arc_spans_[r - lo] = residual_.alive_upper_arcs(v);
-        }
-      }
-      stage_shards_.reset(backend.threads(), machines_);
-      backend.run_chunks(
-          lo, hi, [&](std::size_t slot, std::size_t clo, std::size_t chi) {
-            for (std::size_t r = clo; r < chi; ++r) {
-              const VertexId v = perm_[r];
-              for (const Arc& a : arc_spans_[r - lo]) {
-                if (rank_of_[a.to] >= lo && rank_of_[a.to] < hi) {
-                  stage_shards_.add(slot, home_[v], 0, encode_pair(v, a.to));
-                }
-              }
-            }
-          });
-      drain_stage_shards(backend);
-    } else {
-      for (std::size_t r = lo; r < hi; ++r) {
-        const VertexId v = perm_[r];
-        if (!residual_.alive(v)) continue;
-        mpc::Outbox ob = engine_->outbox(home_[v]);
-        for (const Arc& a : residual_.alive_upper_arcs(v)) {
-          if (rank_of_[a.to] >= lo && rank_of_[a.to] < hi) {
-            ob.append(0, encode_pair(v, a.to));
-          }
-        }
+    // Sequential pre-pass: the lazy alive_upper_arcs accessor mutates
+    // shared per-vertex segment state, so materialize every window span
+    // first (spans for distinct vertices stay valid simultaneously); dead
+    // vertices leave empty spans.
+    arc_spans_.assign(hi - lo, {});
+    for (std::size_t r = lo; r < hi; ++r) {
+      const VertexId v = perm_[r];
+      if (residual_.alive(v)) {
+        arc_spans_[r - lo] = residual_.alive_upper_arcs(v);
       }
     }
+    stage_shards_.reset(backend.threads(), machines_);
+    backend.run_chunks(
+        lo, hi, [&](std::size_t slot, std::size_t clo, std::size_t chi) {
+          for (std::size_t r = clo; r < chi; ++r) {
+            const VertexId v = perm_[r];
+            for (const Arc& a : arc_spans_[r - lo]) {
+              if (rank_of_[a.to] >= lo && rank_of_[a.to] < hi) {
+                stage_shards_.add(slot, home_[v], 0, encode_pair(v, a.to));
+              }
+            }
+          }
+        });
+    drain_stage_shards(backend);
     engine_->exchange();
     const mpc::InboxView inbox = engine_->inbox_view(0);
     result.window_edges_per_phase.push_back(inbox.size());
@@ -420,53 +407,10 @@ class MisMpcRun {
       // ride one outbox per vertex; the replies come from the neighbor's
       // home and stay on the per-word wrapper.
       mpc::ExecutionBackend& backend = engine_->backend();
-      if (backend.parallel()) {
-        // push() is outbox(from).append(to, ...) — both stagings per arc
-        // shard by sender, in arc order, so the per-sender replay matches
-        // the sequential interleave exactly (also when the two homes
-        // coincide: the records land in one bucket, still in order).
-        const std::span<const VertexId> alive = residual_.alive_vertices();
-        arc_spans_.assign(alive.size(), {});
-        for (std::size_t i = 0; i < alive.size(); ++i) {
-          arc_spans_[i] = residual_.alive_upper_arcs(alive[i]);
-        }
-        stage_shards_.reset(backend.threads(), machines_);
-        backend.run_chunks(
-            0, alive.size(),
-            [&](std::size_t slot, std::size_t clo, std::size_t chi) {
-              for (std::size_t i = clo; i < chi; ++i) {
-                const VertexId v = alive[i];
-                for (const Arc& a : arc_spans_[i]) {
-                  stage_shards_.add(slot, home_[v], home_[a.to],
-                                    encode_pair(v, a.to));
-                  stage_shards_.add(slot, home_[a.to], home_[v],
-                                    encode_pair(a.to, v));
-                }
-              }
-            });
-        drain_stage_shards(backend);
-      } else {
-        for (const VertexId v : residual_.alive_vertices()) {
-          mpc::Outbox ob = engine_->outbox(home_[v]);
-          for (const Arc& a : residual_.alive_upper_arcs(v)) {
-            ob.append(home_[a.to], encode_pair(v, a.to));
-            engine_->push(home_[a.to], home_[v], encode_pair(a.to, v));
-          }
-        }
-      }
-      engine_->exchange();
-      const auto joined = state.step();
-      ++result.sparsified_iterations;
-      commit_mis_members(joined);
-      if (state.alive_count() == 0) break;
-    }
-  }
-
-  /// Gathers every remaining alive-alive edge at the leader, which finishes
-  /// the greedy process in rank order and commits the members.
-  void final_gather(MisMpcResult& result) {
-    mpc::ExecutionBackend& backend = engine_->backend();
-    if (backend.parallel()) {
+      // Both stagings per arc shard by sender, in arc order, so every
+      // sender's stream interleaves its forward words and replies in
+      // iteration order (also when the two homes coincide: the records
+      // land in one bucket, still in order).
       const std::span<const VertexId> alive = residual_.alive_vertices();
       arc_spans_.assign(alive.size(), {});
       for (std::size_t i = 0; i < alive.size(); ++i) {
@@ -479,19 +423,43 @@ class MisMpcRun {
             for (std::size_t i = clo; i < chi; ++i) {
               const VertexId v = alive[i];
               for (const Arc& a : arc_spans_[i]) {
-                stage_shards_.add(slot, home_[v], 0, encode_pair(v, a.to));
+                stage_shards_.add(slot, home_[v], home_[a.to],
+                                  encode_pair(v, a.to));
+                stage_shards_.add(slot, home_[a.to], home_[v],
+                                  encode_pair(a.to, v));
               }
             }
           });
       drain_stage_shards(backend);
-    } else {
-      for (const VertexId v : residual_.alive_vertices()) {
-        mpc::Outbox ob = engine_->outbox(home_[v]);
-        for (const Arc& a : residual_.alive_upper_arcs(v)) {
-          ob.append(0, encode_pair(v, a.to));
-        }
-      }
+      engine_->exchange();
+      const auto joined = state.step();
+      ++result.sparsified_iterations;
+      commit_mis_members(joined);
+      if (state.alive_count() == 0) break;
     }
+  }
+
+  /// Gathers every remaining alive-alive edge at the leader, which finishes
+  /// the greedy process in rank order and commits the members.
+  void final_gather(MisMpcResult& result) {
+    mpc::ExecutionBackend& backend = engine_->backend();
+    const std::span<const VertexId> alive = residual_.alive_vertices();
+    arc_spans_.assign(alive.size(), {});
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      arc_spans_[i] = residual_.alive_upper_arcs(alive[i]);
+    }
+    stage_shards_.reset(backend.threads(), machines_);
+    backend.run_chunks(
+        0, alive.size(),
+        [&](std::size_t slot, std::size_t clo, std::size_t chi) {
+          for (std::size_t i = clo; i < chi; ++i) {
+            const VertexId v = alive[i];
+            for (const Arc& a : arc_spans_[i]) {
+              stage_shards_.add(slot, home_[v], 0, encode_pair(v, a.to));
+            }
+          }
+        });
+    drain_stage_shards(backend);
     engine_->exchange();
     const mpc::InboxView inbox = engine_->inbox_view(0);
     result.final_gather_edges = inbox.size();
@@ -512,9 +480,9 @@ class MisMpcRun {
   ResidualGraph residual_;
   CsrScratch window_csr_;
   std::vector<std::pair<VertexId, VertexId>> pairs_scratch_;
-  /// Parallel-backend staging scratch: per-vertex alive-arc spans cached by
-  /// the sequential pre-pass (the lazy accessor may not run concurrently),
-  /// plus the collect-then-drain shards (see mpc::StageShards).
+  /// Staging scratch: per-vertex alive-arc spans cached by the sequential
+  /// pre-pass (the lazy accessor may not run concurrently), plus the
+  /// collect-then-drain shards (see mpc::StageShards).
   std::vector<std::span<const Arc>> arc_spans_;
   mpc::StageShards stage_shards_;
   std::vector<char> killed_;

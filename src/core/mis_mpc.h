@@ -62,8 +62,8 @@ struct MisMpcOptions {
   /// Throw CapacityError on budget violations (else count them).
   bool strict = true;
 
-  /// Execution-backend width (see mpc::Config::threads): 1 = the
-  /// sequential reference; > 1 runs the engine flushes and the rank/
+  /// Execution-backend width (see mpc::Config::threads): 1 runs every
+  /// chunk on the caller; > 1 runs the engine flushes and the rank/
   /// sparsified/final gather staging loops over a shared-memory pool,
   /// bit-identical to 1.
   std::size_t threads = 1;

@@ -16,7 +16,10 @@ using Word = std::uint64_t;
 
 /// The byte string "MPCGCKPT" read as one little-endian word.
 constexpr Word kMagic = 0x54504b434743504dULL;
-constexpr Word kVersion = 1;
+/// Version 2: the two "__engine" section words that held the engine's
+/// staging-path choice are reserved zeros (the engine has one staging
+/// representation); a version 1 file may hold non-zero state there.
+constexpr Word kVersion = 2;
 
 /// Guard rails for parsing garbage: any well-formed file the library
 /// writes stays far below these.

@@ -1,9 +1,12 @@
 #include "graph/io.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,16 +34,41 @@ std::string next_content_line(std::istream& in, std::size_t& line_no) {
                            ": " + what);
 }
 
+/// Parses a whole token as a decimal count in [0, max]: digits only — no
+/// sign, no trailing junk, no wrap-around of negative or oversized values.
+std::uint64_t parse_count(const std::string& token, std::uint64_t max,
+                          std::size_t line_no, const std::string& what) {
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    reject(line_no, "bad " + what + " '" + token + "'");
+  }
+  if (ec == std::errc::result_out_of_range || value > max) {
+    reject(line_no, what + " '" + token + "' exceeds " + std::to_string(max));
+  }
+  return value;
+}
+
 }  // namespace
 
 LoadedGraph read_edge_list(std::istream& in) {
   std::size_t line_no = 0;
   const std::string header = next_content_line(in, line_no);
+  if (header.empty()) {
+    throw std::runtime_error("read_edge_list: no 'n m' header line");
+  }
   std::istringstream head(header);
-  std::size_t n = 0;
-  std::size_t m = 0;
-  if (!(head >> n >> m)) {
-    throw std::runtime_error("read_edge_list: bad header (want 'n m')");
+  std::string n_token;
+  std::string m_token;
+  if (!(head >> n_token >> m_token)) reject(line_no, "bad header (want 'n m')");
+  // Vertex ids are 32-bit, so every id in [0, n) must fit one.
+  const std::size_t n = parse_count(
+      n_token, std::numeric_limits<VertexId>::max(), line_no, "vertex count");
+  const std::size_t m = parse_count(
+      m_token, std::numeric_limits<EdgeId>::max(), line_no, "edge count");
+  if (std::string token; head >> token) {
+    reject(line_no, "unexpected token '" + token + "' after the header");
   }
   GraphBuilder builder(n);
   // Weights keyed by canonical endpoints; remapped to edge ids post-build
@@ -51,12 +79,19 @@ LoadedGraph read_edge_list(std::istream& in) {
   for (std::size_t i = 0; i < m; ++i) {
     const std::string line = next_content_line(in, line_no);
     if (line.empty()) {
-      throw std::runtime_error("read_edge_list: fewer edges than declared");
+      reject(line_no, "input ends after " + std::to_string(i) + " of the " +
+                          std::to_string(m) + " declared edge rows");
     }
     std::istringstream row(line);
-    std::size_t u = 0;
-    std::size_t v = 0;
-    if (!(row >> u >> v)) reject(line_no, "bad edge line: " + line);
+    std::string u_token;
+    std::string v_token;
+    if (!(row >> u_token >> v_token)) reject(line_no, "bad edge line: " + line);
+    const std::uint64_t u = parse_count(
+        u_token, std::numeric_limits<std::uint64_t>::max(), line_no,
+        "endpoint");
+    const std::uint64_t v = parse_count(
+        v_token, std::numeric_limits<std::uint64_t>::max(), line_no,
+        "endpoint");
     if (u >= n || v >= n) reject(line_no, "endpoint out of range: " + line);
     // An optional third token is the weight: a whole finite number >= 0.
     // Nothing may follow it.
@@ -80,6 +115,11 @@ LoadedGraph read_edge_list(std::istream& in) {
       any_plain = true;
     }
     builder.add_edge(static_cast<VertexId>(u), static_cast<VertexId>(v));
+  }
+  if (const std::string extra = next_content_line(in, line_no);
+      !extra.empty()) {
+    reject(line_no, "edge row beyond the " + std::to_string(m) +
+                        " declared in the header");
   }
   if (any_weight && any_plain) {
     throw std::runtime_error(

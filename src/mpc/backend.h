@@ -3,9 +3,8 @@
 // The MPC model (paper, Section 1.1.1) is defined by m machines computing
 // *concurrently* between synchronous exchanges, yet the engines simulate
 // every machine on one thread. An ExecutionBackend abstracts that choice:
-//   * SequentialBackend runs every chunk inline on the caller's thread and
-//     is byte-for-byte the historical behavior — it stays the deterministic
-//     reference;
+//   * SequentialBackend runs the one chunk of every call inline on the
+//     caller's thread;
 //   * ParallelBackend fans chunks out over a fixed-size std::thread pool
 //     (the caller participates, so thread counts may oversubscribe the
 //     box without deadlock).
@@ -16,15 +15,16 @@
 // [begin + len*k/T, begin + len*(k+1)/T). Every consumer in this codebase
 // writes per-chunk (slot-indexed) state during the parallel region and
 // merges it in ascending slot order afterwards, so the merged result equals
-// the sequential left-to-right reduction for ANY thread count: the
-// concatenation of per-chunk results over a contiguous partition of the
-// iteration domain, taken in chunk order, is the sequential order itself.
+// the left-to-right reduction for ANY thread count: the concatenation of
+// per-chunk results over a contiguous partition of the iteration domain,
+// taken in chunk order, is the iteration order itself. At one thread the
+// whole range is one chunk, so every caller has exactly one code path.
 // Shared state may be read freely inside chunks but written only through a
 // slot-private channel.
 //
 // Exceptions thrown inside a chunk are captured per slot and rethrown on
-// the calling thread after the join, lowest slot first — matching the
-// sequential path, where the earliest iteration's throw wins.
+// the calling thread after the join, lowest slot first — the chunk holding
+// the earliest iterations wins, as it would at one thread.
 #ifndef MPCG_MPC_BACKEND_H
 #define MPCG_MPC_BACKEND_H
 
@@ -51,11 +51,6 @@ class ExecutionBackend {
   /// sequential backend; the pool size, caller included, for the parallel
   /// one).
   [[nodiscard]] virtual std::size_t threads() const noexcept = 0;
-
-  /// True when chunks may run concurrently — the gate every caller uses to
-  /// choose between the historical sequential code path and the
-  /// slot-sharded one.
-  [[nodiscard]] bool parallel() const noexcept { return threads() > 1; }
 
   /// fn(slot, lo, hi): process iterations [lo, hi) as chunk `slot`.
   using ChunkFn =
@@ -86,8 +81,8 @@ class ExecutionBackend {
   }
 };
 
-/// The deterministic reference: every chunk runs inline, in order, on the
-/// calling thread. threads() == 1, so run_chunks degenerates to one call.
+/// One thread: threads() == 1, so run_chunks is one inline call over the
+/// whole range.
 class SequentialBackend final : public ExecutionBackend {
  public:
   [[nodiscard]] std::size_t threads() const noexcept override { return 1; }
@@ -167,8 +162,8 @@ class ParallelBackend final : public ExecutionBackend {
   std::vector<std::thread> pool_;
 };
 
-/// threads <= 1 -> SequentialBackend (the reference); otherwise a pool of
-/// `threads` (caller included).
+/// threads <= 1 -> SequentialBackend; otherwise a pool of `threads` (caller
+/// included).
 std::unique_ptr<ExecutionBackend> make_backend(std::size_t threads);
 
 /// One staged word destined for an engine outbox: collect-then-drain
@@ -187,9 +182,9 @@ struct StageRecord {
 /// and hands them to the caller (which appends them to the engine outbox).
 // Per-sender engine staging state is disjoint across senders, so distinct
 // senders drain concurrently; one sender's records arrive in slot order =
-// iteration order, reproducing the sequential per-sender stream exactly
-// (including run merging, which only depends on the per-sender append
-// sequence).
+// iteration order, so every sender's stream is the one a direct loop over
+// the iterations would stage (including run merging, which only depends on
+// the per-sender append sequence).
 class StageShards {
  public:
   /// Prepares `slots` x `senders` buckets, clearing only what the previous

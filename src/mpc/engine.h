@@ -15,8 +15,8 @@
 // Message plane. Two kinds of traffic flow through an exchange:
 //   * unicast words, staged through an `Outbox` (one handle per sender,
 //     one up-front machine check, run-length `(to, count)` descriptors over
-//     a contiguous per-sender word stream on the flat path) or the legacy
-//     per-word `push`, which is a thin wrapper over a one-entry outbox; and
+//     a contiguous per-sender word stream) or the legacy per-word `push`,
+//     which is a thin wrapper over a one-entry outbox; and
 //   * shared payloads (`stage_payload` + `push_broadcast` / `push_gather`),
 //     stored ONCE per staging and delivered as (payload, offset, length)
 //     descriptors — a broadcast of k words to f machines costs O(k + f)
@@ -93,29 +93,6 @@ struct Config {
   /// tallied in Metrics::violations (useful for measuring how close an
   /// algorithm runs to the budget).
   bool strict = true;
-  /// Dense/flat exchange representation: the per-(sender, receiver) box
-  /// matrix (appends pre-sort by destination, delivery is pure bulk copies,
-  /// but O(machines^2) storage and a full matrix scan per round) versus
-  /// flat per-sender run-length outboxes with counting-sort delivery
-  /// (O(words) storage, per-*run* bookkeeping).
-  ///
-  /// With the default `kAdaptive`, the engine picks the path per flush
-  /// from the traffic it just delivered — total unicast words versus
-  /// occupied (sender, receiver) runs: bulky per-pair traffic that
-  /// amortizes the matrix scan switches to dense, scattered short-run
-  /// traffic switches to flat (both representations deliver identical
-  /// inboxes and metrics, so switching is observable only as wall-clock;
-  /// see `tools/bench_exchange_crossover --adaptive`). A flip needs the
-  /// same verdict on two consecutive traffic-bearing flushes (hysteresis),
-  /// so alternating bulk/scattered rounds cannot thrash the
-  /// representation. The dense matrix is never chosen above
-  /// kAdaptiveDenseCap machines.
-  ///
-  /// Any explicit value overrides adaptivity with the old static rule:
-  /// clusters up to the limit are dense, larger ones flat (0 forces flat
-  /// everywhere — how tests pin one representation).
-  static constexpr std::size_t kAdaptive = static_cast<std::size_t>(-1);
-  std::size_t dense_machine_limit = kAdaptive;
   /// End-to-end message integrity: every sender's staged word stream
   /// carries a 64-bit FNV-1a checksum, folded in incrementally at append
   /// time (one xor-multiply per word behind a null-pointer test that is
@@ -124,18 +101,15 @@ struct Config {
   /// mismatch — a kCorruptPayload fault, or real memory corruption — is
   /// detected before delivery and repaired by retransmitting the sender's
   /// retained stream (see FaultPlan::retransmit_budget for the escalation
-  /// contract).  Pins the flat staging representation: the checksum is
-  /// defined over the contiguous per-sender wire stream, which the dense
-  /// per-pair matrix does not materialize.  Metrics are representation-
-  /// invariant, so the pin is observable only as wall-clock.
+  /// contract).  The checksum is defined over the contiguous per-sender
+  /// wire stream the outboxes stage.
   bool integrity = false;
   /// Runtime audit mode: after every exchange the engine checks
   /// conservation (words staged == delivered + dropped - duplicated
   /// + delayed, with fault adjustments), that capacity breaches were
   /// tallied, and that inbox-view segments cover exactly the delivered
   /// words inside engine-owned buffers.  Costs one staging sweep per round
-  /// (O(machines + shared sends); O(machines^2) on the dense path); throws
-  /// AuditError on any violation.
+  /// (O(machines + shared sends)); throws AuditError on any violation.
   bool audit = false;
   /// Opt-in round-boundary scrub of the durable stores: every
   /// `scrub_interval`-th round (0 = never) the engine re-digests the
@@ -171,12 +145,12 @@ struct Config {
   /// Test hook: behave as if stop_flag was set at the N-th safe point
   /// (0 = never) — deterministic kill points for resume tests.
   std::size_t stop_after_safe_points = 0;
-  /// Execution backend width (see mpc/backend.h): 1 = the sequential
-  /// reference (byte-for-byte the historical engine); > 1 = a shared-memory
-  /// pool of that many threads (caller included) running the contention-
-  /// free exchange surfaces and the drivers' per-machine local loops
-  /// concurrently.  Outputs and all logical Metrics are bit-identical
-  /// across every value (see DESIGN.md, "Execution backends").
+  /// Execution backend width (see mpc/backend.h): 1 runs every chunk
+  /// inline on the caller; > 1 = a shared-memory pool of that many threads
+  /// (caller included) running the contention-free exchange surfaces and
+  /// the drivers' per-machine local loops concurrently.  Outputs and all
+  /// logical Metrics are bit-identical across every value (see DESIGN.md,
+  /// "Execution backends").
   std::size_t threads = 1;
 };
 
@@ -256,7 +230,7 @@ struct Metrics {
   std::size_t faults_skipped_on_resume = 0;
 };
 
-/// Run-length tag encoding of the flat staging. Each sender's staged words
+/// Run-length tag encoding of the staging. Each sender's staged words
 /// form one contiguous stream described by a stream of 4-byte *tags*, one
 /// per maximal same-destination stretch: a tag is the destination id, and
 /// its kExtFlag bit says whether the stretch is a single word (clear — the
@@ -273,8 +247,7 @@ struct RunTag {
   static constexpr std::uint32_t kExtFlag = 0x80000000u;
   static constexpr std::uint32_t kDestMask = 0x7fffffffu;
   /// Extended runs saturate at 2^32-1 words and spill into a fresh tag —
-  /// only reachable far beyond any realistic per-round budget (the split
-  /// is visible solely to the adaptive path chooser's run statistic).
+  /// only reachable far beyond any realistic per-round budget.
   static constexpr std::uint32_t kMaxCount = 0xffffffffu;
   /// "No open run" marker for the per-sender open-destination table (it
   /// has the high bit set, so it can never equal a masked destination).
@@ -284,9 +257,8 @@ struct RunTag {
 /// Streamed outbox: a per-sender staging handle for unicast words. Open one
 /// per round (`Engine::outbox`) — the sender id is checked once there — and
 /// append words or whole runs; only the destination is range-checked per
-/// append (one compare). On the flat path appends write the contiguous word
-/// stream plus run-length descriptors; on the dense path they go straight
-/// into the per-destination boxes. A handle is valid until the next
+/// append (one compare). Appends write the contiguous word stream plus
+/// run-length descriptors. A handle is valid until the next
 /// exchange(); several handles for the same sender may coexist (they stage
 /// into the same stream).
 class Outbox {
@@ -304,10 +276,6 @@ class Outbox {
   void append(std::size_t to, Word word) {
     if (to >= num_machines_) [[unlikely]] {
       throw_bad_dest(to);
-    }
-    if (dense_row_ != nullptr) {
-      dense_row_[to].push_back(word);
-      return;
     }
     words_->push_back(word);
     // Integrity layer: fold the word into the sender's stream checksum.
@@ -335,17 +303,12 @@ class Outbox {
   }
 
   /// Appends a whole word run for machine `to` (one tag + one count + one
-  /// bulk copy on the flat path; merges with an open run to the same
-  /// machine).
+  /// bulk copy; merges with an open run to the same machine).
   void append_run(std::size_t to, std::span<const Word> words) {
     if (to >= num_machines_) [[unlikely]] {
       throw_bad_dest(to);
     }
     if (words.empty()) return;
-    if (dense_row_ != nullptr) {
-      dense_row_[to].insert(dense_row_[to].end(), words.begin(), words.end());
-      return;
-    }
     words_->insert(words_->end(), words.begin(), words.end());
     if (csum_ != nullptr) [[unlikely]] {
       std::uint64_t h = *csum_;
@@ -378,29 +341,24 @@ class Outbox {
     }
   }
 
-  /// Pre-reserves stream capacity for `words` more words (flat path; the
-  /// dense path's per-destination boxes grow on their own).
+  /// Pre-reserves stream capacity for `words` more words.
   void reserve(std::size_t words) {
     if (words_ != nullptr) words_->reserve(words_->size() + words);
   }
 
  private:
   friend class Engine;
-  Outbox(std::vector<Word>* dense_row, std::vector<std::uint32_t>* tos,
-         std::vector<std::uint32_t>* counts, std::vector<Word>* words,
-         std::uint32_t* open_to, std::size_t num_machines,
-         std::uint64_t* csum = nullptr)
-      : dense_row_(dense_row), tos_(tos), counts_(counts), words_(words),
-        open_to_(open_to), num_machines_(num_machines), csum_(csum) {}
+  Outbox(std::vector<std::uint32_t>* tos, std::vector<std::uint32_t>* counts,
+         std::vector<Word>* words, std::uint32_t* open_to,
+         std::size_t num_machines, std::uint64_t* csum)
+      : tos_(tos), counts_(counts), words_(words), open_to_(open_to),
+        num_machines_(num_machines), csum_(csum) {}
   /// Out of line: the exception-string construction must not be inlined
   /// into every append call site (it bloats the hot staging loops).
   [[noreturn]] void throw_bad_dest(std::size_t to) const;
-  /// Dense path: the sender's row of per-destination boxes (nullptr when
-  /// the flat representation is active).
-  std::vector<Word>* dense_row_ = nullptr;
-  /// Flat path: the sender's run-tag/count streams + contiguous word
-  /// stream + its slot in the engine's open-destination table (the masked
-  /// destination of tos_->back(), or RunTag::kNoDest when no run is open).
+  /// The sender's run-tag/count streams + contiguous word stream + its slot
+  /// in the engine's open-destination table (the masked destination of
+  /// tos_->back(), or RunTag::kNoDest when no run is open).
   std::vector<std::uint32_t>* tos_ = nullptr;
   std::vector<std::uint32_t>* counts_ = nullptr;
   std::vector<Word>* words_ = nullptr;
@@ -503,9 +461,9 @@ class InboxView {
 
 class Engine {
   /// One queued shared-payload delivery. `seq` snapshots how many unicast
-  /// words the sender had queued (to this receiver on the dense path; in
-  /// total on the flat path) when the shared push happened — the splice
-  /// position that keeps per-sender chronological order in the inbox.
+  /// words the sender had queued in total when the shared push happened —
+  /// the splice position that keeps per-sender chronological order in the
+  /// inbox.
   /// (Declared ahead of the public section so Snapshot can hold them.)
   struct SharedSend {
     std::uint32_t from;
@@ -541,13 +499,8 @@ class Engine {
     if (from >= config_.num_machines) [[unlikely]] {
       throw_bad_machine(from);
     }
-    if (dense_active_) {
-      return Outbox(boxes_.data() + from * config_.num_machines, nullptr,
-                    nullptr, nullptr, nullptr, config_.num_machines);
-    }
-    return Outbox(nullptr, &out_tos_[from], &out_counts_[from],
-                  &out_words_[from], &out_open_to_[from],
-                  config_.num_machines,
+    return Outbox(&out_tos_[from], &out_counts_[from], &out_words_[from],
+                  &out_open_to_[from], config_.num_machines,
                   config_.integrity ? &out_csums_[from] : nullptr);
   }
 
@@ -621,20 +574,12 @@ class Engine {
   /// outstanding views.
   void clear_inboxes();
 
-  /// True while push()/outbox() stage into the dense per-pair box matrix
-  /// (observability hook for the adaptive-choice tests; the choice is
-  /// otherwise visible only as wall-clock).
-  [[nodiscard]] bool dense_staging_active() const noexcept {
-    return dense_active_;
-  }
-
-  /// Opaque copy of the *staged* message plane — unicast boxes / run-tag
-  /// streams, the payload store, splice descriptors — plus Metrics and the
-  /// adaptive-path state, taken at a round boundary.  Restoring puts the
-  /// engine back exactly as it was about to exchange.  Delivered inboxes
-  /// are NOT captured: their segment views alias engine buffers and are
-  /// invalidated by a rollback anyway (drivers re-read them from the
-  /// replayed round).
+  /// Opaque copy of the *staged* message plane — run-tag streams, the
+  /// payload store, splice descriptors — plus Metrics, taken at a round
+  /// boundary.  Restoring puts the engine back exactly as it was about to
+  /// exchange.  Delivered inboxes are NOT captured: their segment views
+  /// alias engine buffers and are invalidated by a rollback anyway
+  /// (drivers re-read them from the replayed round).
   class Snapshot {
    public:
     Snapshot() = default;
@@ -644,7 +589,6 @@ class Engine {
 
    private:
     friend class Engine;
-    std::vector<std::vector<Word>> boxes;
     std::vector<std::vector<std::uint32_t>> out_tos;
     std::vector<std::vector<std::uint32_t>> out_counts;
     std::vector<std::vector<Word>> out_words;
@@ -654,8 +598,6 @@ class Engine {
     std::vector<std::uint64_t> staged_digests;
     std::vector<SharedSend> shared_sends;
     Metrics metrics{};
-    bool dense_active = false;
-    std::uint8_t adapt_streak = 1;
   };
 
   /// Captures the staged message plane (see Snapshot).  The fault
@@ -697,7 +639,7 @@ class Engine {
   /// Resume attempt (call once, after registering checkpoint providers and
   /// before the first round): loads the newest verified on-disk generation
   /// matching Config::checkpoint_scope, reinstates every provider and the
-  /// engine's own "__engine" section (metrics, adaptive-path state, delayed
+  /// engine's own "__engine" section (metrics, crash count, delayed
   /// flushes), and counts plan events at already-completed rounds into
   /// Metrics::faults_skipped_on_resume.  Returns true when a checkpoint
   /// was loaded (the driver skips its preamble and re-enters its loop);
@@ -709,10 +651,10 @@ class Engine {
  private:
   /// Persists one durable generation (provider sections + "__engine").
   void persist();
-  /// Refills `s` with the engine's own durable section: Metrics,
-  /// adaptive-path state, crash/delayed-flush carryover.  Staging and the
-  /// payload store are NOT serialized — safe points are quiescent, a fresh
-  /// process's empty staging is exactly right.  Takes the section by
+  /// Refills `s` with the engine's own durable section: Metrics, two
+  /// reserved words, and the crash/delayed-flush carryover.  Staging and
+  /// the payload store are NOT serialized — safe points are quiescent, a
+  /// fresh process's empty staging is exactly right.  Takes the section by
   /// reference so persist() can recycle the buffer across safe points.
   void engine_section_into(fault::DurableSection& s) const;
   void install_engine_section(std::span<const Word> payload);
@@ -734,8 +676,8 @@ class Engine {
   [[nodiscard]] std::size_t staged_out_words(std::size_t machine) const;
   /// Words machine `m` received in the round just executed.
   [[nodiscard]] std::size_t received_words(std::size_t machine) const;
-  /// Destroys machine `m`'s staged outbound traffic (its unicast boxes or
-  /// run streams and its queued shared-payload sends). The payload *store*
+  /// Destroys machine `m`'s staged outbound traffic (its unicast run
+  /// streams and its queued shared-payload sends). The payload *store*
   /// survives: stage_payload models a durable blob store, the per-machine
   /// flush is what a fault destroys.
   void corrupt_machine_staging(std::size_t machine);
@@ -752,7 +694,7 @@ class Engine {
   /// round. Send-side metrics keep the words — they were sent, they just
   /// hit a dead host.
   void clear_delivered_for(std::size_t machine);
-  /// Clears one flat sender's staged stream (tags, counts, words, open-run
+  /// Clears one sender's staged stream (tags, counts, words, open-run
   /// table, checksum accumulator).
   void clear_sender_staging(std::size_t from);
   /// Resets the sender's checksum accumulator to the digest of its current
@@ -767,11 +709,9 @@ class Engine {
   /// this point escaped the detect->retransmit protocol — real memory
   /// corruption, not an injected fault — and throws IntegrityError.
   void verify_streams() const;
-  /// Copies machine `m`'s staged flat stream aside (sender-side retention)
-  /// and flips 1-3 mix64-derived bits in the live staged words; on the
-  /// dense path flips bits in the per-pair boxes without retention
-  /// (integrity cannot be on there).  Returns the number of bits flipped
-  /// (0 when nothing is staged).
+  /// Copies machine `m`'s staged stream aside (sender-side retention) and
+  /// flips 1-3 mix64-derived bits in the live staged words.  Returns the
+  /// number of bits flipped (0 when nothing is staged).
   std::size_t corrupt_staged_words(std::size_t machine, std::size_t round,
                                    std::size_t ordinal);
   /// Reinstates the retained pristine stream (the retransmission) and
@@ -816,36 +756,21 @@ class Engine {
   /// Audit mode: checks conservation, capacity tallies, and segment bounds
   /// for the round just delivered; throws AuditError on violation.
   void finish_audit() const;
-  void exchange_plain_dense(std::size_t m);
-  void exchange_plain_flat(std::size_t m);
-  /// Slot-sharded unicast flushes used when backend().parallel(): per-slot
+  /// The unicast flush (rounds without shared payloads): per-slot
   /// sender-range histograms, one sequential prefix/budget pass, then
-  /// positional run copies into exactly-sized inboxes — the delivered
-  /// inboxes and all Metrics are position-identical to the sequential
-  /// variants above for any thread count (see DESIGN.md, "Execution
-  /// backends").
-  void exchange_parallel_flat(std::size_t m);
-  void exchange_parallel_dense(std::size_t m);
+  /// positional run copies into exactly-sized inboxes. The slots are
+  /// ascending sender ranges, so the delivered inboxes and all Metrics are
+  /// the same for every thread count (see DESIGN.md, "Execution
+  /// backends"); at one thread the whole flush is one slot.
+  void exchange_unicast(std::size_t m);
   void exchange_shared(std::size_t m);
-  /// Delivers one flat sender's staged runs into the inboxes (and, with
-  /// `emit_segs`, interleaved segment lists for shared-round receivers):
-  /// one bulk copy per run, except scattered big senders (many short runs)
-  /// which take a word-level counting sort through the scatter buffer so a
-  /// receiver gets one append instead of one per run. Clears the sender's
-  /// staging.
-  void deliver_flat_sender(std::size_t from, std::size_t m, bool emit_segs);
-  /// Switches the staging representation (both are kept allocated once
-  /// used; only callable between flushes, when all outboxes are empty).
-  void set_path(bool dense);
-  /// Per-flush adaptive path choice from the shape of the unicast traffic
-  /// just delivered: `words` moved across `runs` maximal same-destination
-  /// stretches. Two consecutive traffic-bearing flushes must agree before
-  /// the path flips (hysteresis). No-op unless Config::dense_machine_limit
-  /// is kAdaptive.
-  void adapt_path(std::size_t words, std::size_t runs);
-  /// Largest cluster the adaptive mode will ever give the dense matrix
-  /// (its storage and per-round scan are O(machines^2)).
-  static constexpr std::size_t kAdaptiveDenseCap = 512;
+  /// Delivers one sender's staged runs into the inboxes (shared rounds),
+  /// with interleaved segment lists for receivers that also get shared
+  /// payloads: one bulk copy per run, except scattered big senders (many
+  /// short runs) which take a word-level counting sort through the
+  /// scatter buffer so a receiver gets one append instead of one per run.
+  /// Clears the sender's staging.
+  void deliver_sender_runs(std::size_t from, std::size_t m);
   /// Appends `box` to inbox_[to] split around this pair's shared sends
   /// (whose seq fields hold within-pair splice offsets, chronological
   /// order), emitting interleaved segments into in_segs_[to].
@@ -860,28 +785,11 @@ class Engine {
   /// outlive the call that launched it).
   std::unique_ptr<ExecutionBackend> backend_;
   Metrics metrics_;
-  /// Which staging representation outbox()/push() writes to. Fixed by
-  /// dense_machine_limit when that is explicit; re-decided per flush by
-  /// adapt_path() in the default adaptive mode.
-  bool dense_active_ = false;
-  /// Flushes in a row whose traffic shape voted against the active
-  /// representation (adaptive mode): the flip happens at 2. Starts at 1:
-  /// the startup representation is a size-based guess, not observed
-  /// history, so the first real traffic shape may override it immediately
-  /// — only after a flush has *confirmed* the active path does a flip
-  /// require two consecutive contrary votes.
-  std::uint8_t adapt_streak_ = 1;
-  /// Dense representation (small clusters): boxes_[from * m + to] holds
-  /// the unicast words queued from `from` to `to`, in push order. Empty
-  /// when the flat representation is active.
-  std::vector<std::vector<Word>> boxes_;
-  /// Flat per-sender outboxes (large clusters): out_words_[from] is the
-  /// sender's staged words in push order, described by the run tags in
-  /// out_tos_[from] (one per maximal same-destination stretch; extended
-  /// tags index into out_counts_[from] in order — see RunTag). A round of
-  /// exchange() costs O(tags + machines) bookkeeping plus one bulk copy
-  /// per run (scattered senders fall back to a word-level counting sort —
-  /// see deliver_flat_sender).
+  /// Per-sender outboxes: out_words_[from] is the sender's staged words in
+  /// push order, described by the run tags in out_tos_[from] (one per
+  /// maximal same-destination stretch; extended tags index into
+  /// out_counts_[from] in order — see RunTag). A round of exchange() costs
+  /// O(tags + machines) bookkeeping plus one bulk copy per run.
   std::vector<std::vector<std::uint32_t>> out_tos_;
   std::vector<std::vector<std::uint32_t>> out_counts_;
   std::vector<std::vector<Word>> out_words_;
@@ -925,22 +833,20 @@ class Engine {
   /// Per-machine shared sent/received word totals (scratch, shared rounds).
   std::vector<std::size_t> shared_sent_;
   std::vector<std::size_t> shared_recv_;
-  /// Counting-sort scratch for scattered senders (see deliver_flat_sender).
+  /// Counting-sort scratch for scattered senders (see deliver_sender_runs).
   std::vector<std::size_t> bucket_count_;
   std::vector<std::size_t> bucket_cursor_;
   std::vector<Word> scatter_;
-  /// Parallel-flush scratch (backend().parallel() only): per-slot receiver
-  /// histograms and write cursors, slot-major ([slot * m + to]), plus
-  /// per-slot run totals — merged in ascending slot order, which is what
-  /// makes the parallel flush position-identical to the sequential one.
+  /// Unicast-flush scratch: per-slot receiver histograms and write
+  /// cursors, slot-major ([slot * m + to]) — merged in ascending slot
+  /// order, which is what makes the flush the same at every thread count.
   std::vector<std::size_t> slot_count_;
   std::vector<std::size_t> slot_cursor_;
-  std::vector<std::size_t> slot_runs_;
-  /// Parallel verify scratch: per-sender / per-blob ok flags (the throw,
-  /// which must name the lowest failing index, stays sequential).
+  /// Verify scratch: per-sender / per-blob ok flags (the throw, which must
+  /// name the lowest failing index, stays sequential).
   mutable std::vector<char> verify_ok_;
-  /// Flat-path scratch: one sender's shared sends in chronological order,
-  /// with seq rewritten to the within-pair splice offset.
+  /// Shared-round scratch: one sender's shared sends in chronological
+  /// order, with seq rewritten to the within-pair splice offset.
   std::vector<SharedSend> sender_sends_;
 
   // Fault machinery (see set_fault_plan). All pointers are borrowed.
@@ -959,8 +865,7 @@ class Engine {
   /// every persisted safe point.
   std::vector<fault::DurableSection> durable_scratch_;
   /// A flush held back by a non-recovered kDelayFlush, stored as run
-  /// descriptors (path-agnostic: it may be re-injected under either
-  /// staging representation).
+  /// descriptors.
   struct DelayedFlush {
     std::size_t from = 0;
     std::vector<std::uint32_t> tos;

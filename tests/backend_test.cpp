@@ -59,7 +59,6 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 TEST(Backend, SequentialBackendRunsOneInlineChunk) {
   SequentialBackend b;
   EXPECT_EQ(b.threads(), 1U);
-  EXPECT_FALSE(b.parallel());
   std::vector<std::size_t> seen;
   b.run_chunks(3, 11, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
     EXPECT_EQ(slot, 0U);
@@ -74,7 +73,6 @@ TEST(Backend, SequentialBackendRunsOneInlineChunk) {
 TEST(Backend, ChunksPartitionTheRangeContiguouslyAscendingBySlot) {
   for (const std::size_t threads : {2U, 3U, 4U, 8U, 16U}) {
     ParallelBackend b(threads);
-    EXPECT_TRUE(b.parallel());
     EXPECT_EQ(b.threads(), threads);
     for (const auto [begin, end] :
          {std::pair<std::size_t, std::size_t>{0, 1},
@@ -274,11 +272,9 @@ TEST(Backend, QuiesceParksEveryWorkerAfterATinyJobBurst) {
 }
 
 TEST(Backend, MakeBackendGatesOnThreadCount) {
-  EXPECT_FALSE(mpc::make_backend(0)->parallel());
-  EXPECT_FALSE(mpc::make_backend(1)->parallel());
-  const auto par = mpc::make_backend(6);
-  EXPECT_TRUE(par->parallel());
-  EXPECT_EQ(par->threads(), 6U);
+  EXPECT_EQ(mpc::make_backend(0)->threads(), 1U);
+  EXPECT_EQ(mpc::make_backend(1)->threads(), 1U);
+  EXPECT_EQ(mpc::make_backend(6)->threads(), 6U);
 }
 
 TEST(Backend, StageShardsReplaySequentialPerSenderOrder) {

@@ -159,6 +159,33 @@ TEST(DurableCheckpoint, StaleVersionIsRejectedEvenWithValidTrailer) {
   }
 }
 
+TEST(DurableCheckpoint, Version1FileIsRejectedByVersion) {
+  // Version 1 engine sections carried two staging-path words the engine no
+  // longer writes; a leftover v1 file must fail on its version word, with
+  // the typed error, before any section is parsed.
+  TempDir td;
+  const std::string path = td.path + "/ck.mpcg";
+  fault::write_checkpoint_file(path, sample_checkpoint());
+  std::vector<char> bytes = slurp(path);
+  const std::size_t words = bytes.size() / sizeof(std::uint64_t);
+  std::vector<std::uint64_t> w(words);
+  std::memcpy(w.data(), bytes.data(), bytes.size());
+  w[1] = 1;  // version word
+  w[words - 1] =
+      Fnv::digest(std::span<const std::uint64_t>(w.data(), words - 1));
+  std::memcpy(bytes.data(), w.data(), bytes.size());
+  spit(path, bytes);
+  try {
+    (void)fault::read_checkpoint_file(path);
+    FAIL() << "version 1 file was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unsupported checkpoint version 1 (want 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------------- slot ring
 
 TEST(DurableRing, ScopeMismatchIsACleanFreshStart) {

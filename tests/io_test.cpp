@@ -108,6 +108,36 @@ TEST(GraphIo, RejectsTokenAfterWeight) {
   EXPECT_NE(err.find("unexpected token '7'"), std::string::npos) << err;
 }
 
+TEST(GraphIo, RejectsNegativeVertexCount) {
+  // "-1" must not wrap to a huge unsigned count.
+  const std::string err = read_error("# c\n-1 1\n0 0\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("bad vertex count '-1'"), std::string::npos) << err;
+}
+
+TEST(GraphIo, RejectsVertexCountBeyondVertexIds) {
+  // 2^32 + 1 vertices: ids would be truncated by the 32-bit VertexId.
+  const std::string err = read_error("4294967297 1\n0 1\n");
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("vertex count '4294967297' exceeds 4294967295"),
+            std::string::npos)
+      << err;
+}
+
+TEST(GraphIo, RejectsTokenAfterHeader) {
+  const std::string err = read_error("3 1 junk\n0 1\n");
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("unexpected token 'junk' after the header"),
+            std::string::npos)
+      << err;
+}
+
+TEST(GraphIo, RejectsRowsBeyondDeclaredCount) {
+  const std::string err = read_error("3 1\n0 1\n# c\n1 2\n");
+  EXPECT_NE(err.find("line 4"), std::string::npos) << err;
+  EXPECT_NE(err.find("beyond the 1 declared"), std::string::npos) << err;
+}
+
 TEST(GraphIo, WeightSizeMismatchThrows) {
   const Graph g = path_graph(3);
   std::vector<double> w{1.0};

@@ -3,11 +3,11 @@
 // inbox() compatibility shim, accounting equivalence between shared and
 // materialized delivery, and the streamed-outbox staging (run-length
 // record streams) coupled against the legacy per-word push path. Every
-// scenario runs on both exchange representations (dense box matrix and
-// flat counting-sort), selected via Config::dense_machine_limit; the
-// randomized staging coupling additionally runs the adaptive chooser.
+// scenario runs at one thread and on a four-thread pool, so the one
+// unicast flush is exercised both as a single slot and sharded.
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,23 +18,26 @@
 namespace mpcg::mpc {
 namespace {
 
-Engine make_engine(bool flat, std::size_t machines = 4,
+Engine make_engine(std::size_t threads, std::size_t machines = 4,
                    std::size_t words = 1 << 12) {
   Config cfg;
   cfg.num_machines = machines;
   cfg.words_per_machine = words;
   cfg.strict = true;
-  // dense_machine_limit = 0 forces the flat representation even for tiny
-  // clusters, so both delivery paths are testable at the same scale.
-  cfg.dense_machine_limit = flat ? 0 : 512;
+  cfg.threads = threads;
   return Engine(cfg);
+}
+
+/// Test-name suffix for a thread-count parameter.
+std::string threads_name(const ::testing::TestParamInfo<std::size_t>& info) {
+  return "t" + std::to_string(info.param);
 }
 
 std::vector<Word> view_words(const InboxView& view) {
   return std::vector<Word>(view.begin(), view.end());
 }
 
-class MessagePlane : public ::testing::TestWithParam<bool> {};
+class MessagePlane : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MessagePlane, BroadcastDeliversToAllDestinations) {
   Engine e = make_engine(GetParam());
@@ -207,24 +210,22 @@ TEST_P(MessagePlane, AccountingMatchesMaterializedDelivery) {
       e.exchange();
     }
   };
-  for (const bool flat : {false, true}) {
-    Engine shared_e = make_engine(flat);
-    Engine plain_e = make_engine(flat);
-    drive(shared_e, true);
-    drive(plain_e, false);
-    const Metrics& a = shared_e.metrics();
-    const Metrics& b = plain_e.metrics();
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(a.max_sent_words, b.max_sent_words);
-    EXPECT_EQ(a.max_received_words, b.max_received_words);
-    EXPECT_EQ(a.peak_storage_words, b.peak_storage_words);
-    EXPECT_EQ(a.total_words, b.total_words);
-    EXPECT_EQ(a.violations, b.violations);
-    for (std::size_t machine = 0; machine < 4; ++machine) {
-      EXPECT_EQ(view_words(shared_e.inbox_view(machine)),
-                plain_e.inbox(machine))
-          << "machine " << machine << " flat=" << flat;
-    }
+  Engine shared_e = make_engine(GetParam());
+  Engine plain_e = make_engine(GetParam());
+  drive(shared_e, true);
+  drive(plain_e, false);
+  const Metrics& a = shared_e.metrics();
+  const Metrics& b = plain_e.metrics();
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.max_sent_words, b.max_sent_words);
+  EXPECT_EQ(a.max_received_words, b.max_received_words);
+  EXPECT_EQ(a.peak_storage_words, b.peak_storage_words);
+  EXPECT_EQ(a.total_words, b.total_words);
+  EXPECT_EQ(a.violations, b.violations);
+  for (std::size_t machine = 0; machine < 4; ++machine) {
+    EXPECT_EQ(view_words(shared_e.inbox_view(machine)),
+              plain_e.inbox(machine))
+        << "machine " << machine;
   }
 }
 
@@ -264,10 +265,9 @@ TEST_P(MessagePlane, CollectivesAgreeWithLegacySemantics) {
   EXPECT_EQ(e.metrics().violations, 0U);
 }
 
-INSTANTIATE_TEST_SUITE_P(DenseAndFlat, MessagePlane, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "flat" : "dense";
-                         });
+INSTANTIATE_TEST_SUITE_P(Threads, MessagePlane,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         threads_name);
 
 TEST_P(MessagePlane, OutboxMatchesPerWordPush) {
   // The same logical traffic through a streamed outbox and through the
@@ -328,9 +328,9 @@ TEST_P(MessagePlane, OutboxInterleavesWithSharedSplices) {
 }
 
 /// Randomized coupling of the streamed-outbox staging against the legacy
-/// per-word push path, interleaved with broadcast/gather splices, across
-/// the dense, flat, and adaptive configurations. Inbox views and every
-/// Metrics field must agree word for word after every round.
+/// per-word push path, interleaved with broadcast/gather splices, at one
+/// thread and on a four-thread pool. Inbox views and every Metrics field
+/// must agree word for word after every round.
 class StagingCoupling : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
@@ -339,7 +339,7 @@ TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
   cfg.num_machines = kMachines;
   cfg.words_per_machine = 1 << 14;
   cfg.strict = true;
-  cfg.dense_machine_limit = GetParam();
+  cfg.threads = GetParam();
   Engine streamed(cfg);
   Engine legacy(cfg);
   std::mt19937_64 rng(0xA11CE5);
@@ -412,73 +412,9 @@ TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(DenseFlatAdaptive, StagingCoupling,
-                         ::testing::Values(std::size_t{512}, std::size_t{0},
-                                           Config::kAdaptive),
-                         [](const auto& info) {
-                           if (info.param == Config::kAdaptive) {
-                             return std::string("adaptive");
-                           }
-                           return info.param == 0 ? std::string("flat")
-                                                  : std::string("dense");
-                         });
-
-TEST(MessagePlaneConfig, AdaptiveFlipNeedsTwoAgreeingFlushes) {
-  // Two-flush hysteresis: one odd-shaped round must not flip the staging
-  // representation; two consecutive agreeing rounds must.
-  Config cfg;
-  cfg.num_machines = 4;
-  cfg.words_per_machine = 1 << 12;
-  cfg.dense_machine_limit = Config::kAdaptive;
-  Engine e(cfg);
-  const auto scattered = [&e] {
-    // words == runs == 4: votes flat (words < 8 * runs).
-    for (std::size_t from = 0; from < 4; ++from) {
-      e.push(from, (from + 1) % 4, Word{from});
-    }
-    e.exchange();
-  };
-  const auto bulky = [&e] {
-    // One 64-word run: votes dense (64 >= 8 runs, 128 >= 16).
-    const std::vector<Word> run(64, Word{7});
-    e.outbox(0).append_run(1, run);
-    e.exchange();
-  };
-  ASSERT_TRUE(e.dense_staging_active());  // 4 <= 512: starts dense
-  // The start is a guess, not history: the first real flush may override
-  // it without waiting out the hysteresis.
-  scattered();
-  EXPECT_FALSE(e.dense_staging_active());
-  bulky();
-  EXPECT_FALSE(e.dense_staging_active());  // one dense vote: no flip
-  scattered();
-  EXPECT_FALSE(e.dense_staging_active());  // streak reset
-  bulky();
-  bulky();
-  EXPECT_TRUE(e.dense_staging_active());  // two agreeing votes: flip
-  scattered();
-  EXPECT_TRUE(e.dense_staging_active());
-  scattered();
-  EXPECT_FALSE(e.dense_staging_active());  // and back
-}
-
-TEST(MessagePlaneConfig, DenseMachineLimitSelectsRepresentation) {
-  // Observable difference is only in performance, but both representations
-  // must satisfy the same contract right at the boundary.
-  for (const std::size_t limit : {0UL, 2UL, 3UL, 512UL}) {
-    Config cfg;
-    cfg.num_machines = 3;
-    cfg.words_per_machine = 64;
-    cfg.dense_machine_limit = limit;
-    Engine e(cfg);
-    e.push(2, 0, Word{22});
-    e.push(1, 0, Word{11});
-    e.push_broadcast(1, std::vector<std::size_t>{0},
-                     std::vector<Word>{99});
-    e.exchange();
-    EXPECT_EQ(e.inbox(0), (std::vector<Word>{11, 99, 22})) << limit;
-  }
-}
+INSTANTIATE_TEST_SUITE_P(Threads, StagingCoupling,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         threads_name);
 
 }  // namespace
 }  // namespace mpcg::mpc

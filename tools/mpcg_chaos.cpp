@@ -17,14 +17,14 @@
 //
 // Usage:
 //   mpcg_chaos [--storms 20] [--seed 1] [--n 4096] [--verbose]
-//              [--backend seq|parallel] [--threads N]
+//              [--threads N]
 //
-// --backend/--threads (see src/mpc/backend.h) arm the *stormy* runs with
-// the shared-memory parallel backend while the clean references stay
-// sequential — so a parallel soak checks faults + integrity + recovery on
-// the pool against the sequential fault-free reference, bit for bit. Kill
-// storms pass the flags through to every child mpcg_run (reference,
-// victim, and resume), so the SIGKILL lands on a live pool.
+// --threads N (see src/mpc/backend.h; default 1) runs the *stormy* runs on
+// a shared-memory pool of N threads while the clean references stay at one
+// thread — so a pooled soak checks faults + integrity + recovery on the
+// pool against the one-thread fault-free reference, bit for bit. Kill
+// storms pass the flag through to every child mpcg_run (reference, victim,
+// and resume), so the SIGKILL lands on a live pool.
 //
 // Kill/resume storm mode (process-level durability soak; see fault/durable.h):
 //   mpcg_chaos --kill-storms 20 [--run-bin path/to/mpcg_run] [--n 20000]
@@ -469,15 +469,9 @@ int main(int argc, char** argv) {
     const std::string run_bin = flags.get_string("run-bin", default_run_bin);
     const std::string kill_driver = flags.get_string("kill-driver", "");
     const std::string kill_family = flags.get_string("kill-family", "");
-    const std::string backend = flags.get_string("backend", "");
     const std::int64_t threads_flag = flags.get_int("threads", 0);
     if (const auto unused = flags.unused(); !unused.empty()) {
       std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
-      return 2;
-    }
-    if (!backend.empty() && backend != "seq" && backend != "parallel") {
-      std::fprintf(stderr, "--backend must be seq or parallel (got %s)\n",
-                   backend.c_str());
       return 2;
     }
     if (flags.has("threads") && threads_flag < 1) {
@@ -485,13 +479,8 @@ int main(int argc, char** argv) {
                    static_cast<long long>(threads_flag));
       return 2;
     }
-    std::size_t threads = backend == "parallel" ? 4 : 1;
-    if (flags.has("threads")) threads = static_cast<std::size_t>(threads_flag);
-    if (backend == "seq" && threads > 1) {
-      std::fprintf(stderr, "--backend seq conflicts with --threads %zu\n",
-                   threads);
-      return 2;
-    }
+    const std::size_t threads =
+        flags.has("threads") ? static_cast<std::size_t>(threads_flag) : 1;
     if (kill_storms != 0) {
       return run_kill_storms(run_bin, kill_storms, seed, n, threads,
                              kill_driver, kill_family, verbose);

@@ -9,7 +9,7 @@
 //                   |sort|route
 //            [--family gnp_dense --n 4096 | --input graph.txt]
 //            [--seed 1] [--eps 0.1] [--check]
-//            [--backend seq|parallel] [--threads N]
+//            [--threads N]
 //            [--faults "crash:<machine>@<round>,corrupt:1@4,
 //                       corrupt_store:0@5,corrupt_ckpt:2@6,..."]
 //            [--words W] [--reprovision] [--integrity] [--audit]
@@ -32,13 +32,11 @@
 // Lenzen routing on the congested clique plus a ring exchange — both are
 // primitive-level fault surfaces with from-scratch --check validation.
 //
-// --backend selects the execution backend (see src/mpc/backend.h): `seq`
-// (default) is the sequential reference; `parallel` runs the engine
-// flushes and driver staging loops over a shared-memory pool (4 threads
-// unless --threads says otherwise) with bit-identical outputs and logical
-// metrics. --threads N sets the pool width explicitly (N = 1 is seq).
-// Applies to the engine-backed algos (mis, mis_cc, matching, vc, sort,
-// route); the message-passing baselines ignore it.
+// --threads N sets the execution-backend width (see src/mpc/backend.h;
+// default 1): N > 1 runs the engine flushes and driver staging loops over
+// a shared-memory pool of N threads with bit-identical outputs and logical
+// metrics. Applies to the engine-backed algos (mis, mis_cc, matching, vc,
+// sort, route); the message-passing baselines ignore it.
 //
 // --check validates the output and exits 3 on an invalid solution.
 //
@@ -185,7 +183,6 @@ int run(const Flags& flags) {
       static_cast<std::size_t>(flags.get_int("scrub-interval", 0));
   const auto words = static_cast<std::size_t>(flags.get_int("words", 0));
 
-  const std::string backend = flags.get_string("backend", "");
   const std::int64_t threads_flag = flags.get_int("threads", 0);
 
   const std::string checkpoint_dir = flags.get_string("checkpoint-dir", "");
@@ -202,23 +199,13 @@ int run(const Flags& flags) {
     return 2;
   }
 
-  if (!backend.empty() && backend != "seq" && backend != "parallel") {
-    std::fprintf(stderr, "--backend must be seq or parallel (got %s)\n",
-                 backend.c_str());
-    return 2;
-  }
   if (flags.has("threads") && threads_flag < 1) {
     std::fprintf(stderr, "--threads must be >= 1 (got %lld)\n",
                  static_cast<long long>(threads_flag));
     return 2;
   }
-  std::size_t threads = backend == "parallel" ? 4 : 1;
-  if (flags.has("threads")) threads = static_cast<std::size_t>(threads_flag);
-  if (backend == "seq" && threads > 1) {
-    std::fprintf(stderr, "--backend seq conflicts with --threads %zu\n",
-                 threads);
-    return 2;
-  }
+  const std::size_t threads =
+      flags.has("threads") ? static_cast<std::size_t>(threads_flag) : 1;
 
   const bool durable = !checkpoint_dir.empty();
   if (checkpoint_every < 1) {
