@@ -374,31 +374,21 @@ void Engine::engine_section_into(fault::DurableSection& s) const {
 }
 
 void Engine::install_engine_section(std::span<const Word> payload) {
-  const std::size_t mw = sizeof(Metrics) / sizeof(Word);
-  std::size_t at = 0;
-  const auto take = [&]() -> Word {
-    if (at >= payload.size()) {
-      throw fault::CheckpointError(
-          "durable checkpoint restore: truncated __engine section");
-    }
-    return payload[at++];
-  };
-  if (payload.size() < mw) {
-    throw fault::CheckpointError(
-        "durable checkpoint restore: truncated __engine section");
-  }
-  std::memcpy(static_cast<void*>(&metrics_), payload.data(), sizeof(Metrics));
-  at = mw;
-  crashes_recovered_ = static_cast<std::size_t>(take());
+  fault::SectionReader in("checkpoint section '__engine'", payload);
+  std::memcpy(static_cast<void*>(&metrics_),
+              in.take_span(sizeof(Metrics) / sizeof(Word)).data(),
+              sizeof(Metrics));
+  crashes_recovered_ = static_cast<std::size_t>(in.take());
   delayed_.clear();
-  const Word ndelayed = take();
+  const Word ndelayed = in.take();
   for (Word i = 0; i < ndelayed; ++i) {
     Message msg;
-    msg.from = static_cast<PlayerId>(take());
-    msg.to = static_cast<PlayerId>(take());
-    msg.word = take();
+    msg.from = static_cast<PlayerId>(in.take());
+    msg.to = static_cast<PlayerId>(in.take());
+    msg.word = in.take();
     delayed_.push_back(msg);
   }
+  in.finish();
 }
 
 void Engine::persist() {

@@ -127,28 +127,24 @@ IntegralMatchingResult integral_matching(
         throw fault::CheckpointError(
             "integral_matching resume: checkpoint has no 'outer' section");
       }
-      const auto& w = sec->payload;
-      std::size_t at = 0;
-      start_iter = static_cast<std::size_t>(w[at++]);
-      const auto alen = static_cast<std::size_t>(w[at++]);
-      a_matching.assign(w.begin() + static_cast<std::ptrdiff_t>(at),
-                        w.begin() + static_cast<std::ptrdiff_t>(at + alen));
-      at += alen;
+      fault::SectionReader in("checkpoint section 'outer'", sec->payload);
+      start_iter = static_cast<std::size_t>(in.take());
+      const auto matched = in.take_counted();
+      a_matching.assign(matched.begin(), matched.end());
+      const auto alive = in.take_span((n + 63) / 64);
       for (VertexId v = 0; v < n; ++v) {
-        const bool want = ((w[at + v / 64] >> (v % 64)) & 1) != 0;
+        const bool want = ((alive[v / 64] >> (v % 64)) & 1) != 0;
         if (!want) remaining_set.deactivate(v);
       }
-      at += (n + 63) / 64;
-      const auto clen = static_cast<std::size_t>(w[at++]);
-      result.cover.assign(w.begin() + static_cast<std::ptrdiff_t>(at),
-                          w.begin() + static_cast<std::ptrdiff_t>(at + clen));
-      at += clen;
-      result.iterations = static_cast<std::size_t>(w[at++]);
-      result.total_rounds = static_cast<std::size_t>(w[at++]);
-      result.first_run_rounds = static_cast<std::size_t>(w[at++]);
-      result.first_fractional_weight = std::bit_cast<double>(w[at++]);
+      const auto cover = in.take_counted();
+      result.cover.assign(cover.begin(), cover.end());
+      result.iterations = static_cast<std::size_t>(in.take());
+      result.total_rounds = static_cast<std::size_t>(in.take());
+      result.first_run_rounds = static_cast<std::size_t>(in.take());
+      result.first_fractional_weight = std::bit_cast<double>(in.take());
       std::memcpy(static_cast<void*>(&result.first_run_metrics),
-                  w.data() + at, sizeof(mpc::Metrics));
+                  in.take_span(kMetricsWords).data(), sizeof(mpc::Metrics));
+      in.finish();
     }
   }
 

@@ -301,7 +301,7 @@ class MatchingMpcRun {
     reg.register_state(
         "progress",
         [this](std::vector<Word>& out) { out.push_back(t_); },
-        [this](std::span<const Word> in) { t_ = in[0]; });
+        [this](fault::SectionReader& in) { t_ = in.take(); });
     // Freeze iterations; restore routes through set_freeze so the narrow
     // mirrors stay in sync.
     reg.register_state(
@@ -311,9 +311,10 @@ class MatchingMpcRun {
           out.resize(base + n_);
           for (VertexId v = 0; v < n_; ++v) out[base + v] = freeze_at_[v];
         },
-        [this](std::span<const Word> in) {
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_span(n_);
           for (VertexId v = 0; v < n_; ++v) {
-            set_freeze(v, static_cast<std::uint32_t>(in[v]));
+            set_freeze(v, static_cast<std::uint32_t>(w[v]));
           }
         });
     // Heavy-removal flags, bit-packed.
@@ -326,11 +327,12 @@ class MatchingMpcRun {
             if (removed_[v]) out[base + v / 64] |= Word{1} << (v % 64);
           }
         },
-        [this](std::span<const Word> in) {
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_span((n_ + 63) / 64);
           std::vector<VertexId> to_kill;
           for (VertexId v = 0; v < n_; ++v) {
             removed_[v] =
-                static_cast<char>((in[v / 64] >> (v % 64)) & Word{1});
+                static_cast<char>((w[v / 64] >> (v % 64)) & Word{1});
             if (removed_[v] && residual_.alive(v)) to_kill.push_back(v);
           }
           // Same-round in-process restores find the kills already applied
@@ -349,11 +351,10 @@ class MatchingMpcRun {
           std::memcpy(out.data() + base, y_old_cache_.data(),
                       n_ * sizeof(Word));
         },
-        [this](std::span<const Word> in) {
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_span(n_);
           for (VertexId v = 0; v < n_; ++v) {
-            double d;
-            std::memcpy(&d, &in[v], sizeof d);
-            y_old_cache_[v] = d;
+            y_old_cache_[v] = std::bit_cast<double>(w[v]);
           }
         });
     // Active-frontier membership, bit-packed. ActiveSet only shrinks, so
@@ -368,9 +369,10 @@ class MatchingMpcRun {
             if (active_.active(v)) out[base + v / 64] |= Word{1} << (v % 64);
           }
         },
-        [this](std::span<const Word> in) {
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_span((n_ + 63) / 64);
           for (VertexId v = 0; v < n_; ++v) {
-            const bool want = ((in[v / 64] >> (v % 64)) & Word{1}) != 0;
+            const bool want = ((w[v / 64] >> (v % 64)) & Word{1}) != 0;
             if (!want && active_.active(v)) active_.deactivate(v);
           }
         });
@@ -381,10 +383,9 @@ class MatchingMpcRun {
           out.push_back(boundary_frozen_.size());
           for (const VertexId v : boundary_frozen_) out.push_back(v);
         },
-        [this](std::span<const Word> in) {
-          boundary_frozen_.assign(in.begin() + 1,
-                                  in.begin() + 1 +
-                                      static_cast<std::ptrdiff_t>(in[0]));
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_counted();
+          boundary_frozen_.assign(w.begin(), w.end());
         });
   }
 
@@ -412,20 +413,17 @@ class MatchingMpcRun {
           put(result_.active_per_phase);
           put(result_.frontier_edges_per_phase);
         },
-        [this](std::span<const Word> in) {
-          std::size_t at = 0;
-          d_ = std::bit_cast<double>(in[at++]);
+        [this](fault::SectionReader& in) {
+          d_ = std::bit_cast<double>(in.take());
           std::array<std::uint64_t, 4> s;
-          for (auto& w : s) w = in[at++];
+          for (auto& w : s) w = in.take();
           phase_rng_.set_state(s);
-          result_.phases = static_cast<std::size_t>(in[at++]);
-          result_.tail_iterations = static_cast<std::size_t>(in[at++]);
-          last_phase_iterations_ = static_cast<std::size_t>(in[at++]);
-          const auto take = [&in, &at](std::vector<std::size_t>& v) {
-            const auto len = static_cast<std::size_t>(in[at++]);
-            v.assign(in.begin() + static_cast<std::ptrdiff_t>(at),
-                     in.begin() + static_cast<std::ptrdiff_t>(at + len));
-            at += len;
+          result_.phases = static_cast<std::size_t>(in.take());
+          result_.tail_iterations = static_cast<std::size_t>(in.take());
+          last_phase_iterations_ = static_cast<std::size_t>(in.take());
+          const auto take = [&in](std::vector<std::size_t>& v) {
+            const auto w = in.take_counted();
+            v.assign(w.begin(), w.end());
           };
           take(result_.machines_per_phase);
           take(result_.max_local_edges_per_phase);

@@ -197,9 +197,9 @@ class MisMpcRun {
           out.push_back(perm_.size());
           for (const std::uint32_t r : perm_) out.push_back(r);
         },
-        [this](std::span<const Word> in) {
-          perm_.assign(in.begin() + 1,
-                       in.begin() + 1 + static_cast<std::ptrdiff_t>(in[0]));
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_counted();
+          perm_.assign(w.begin(), w.end());
           rank_of_ = perm_.empty() ? std::vector<std::uint32_t>{}
                                    : invert_permutation(perm_);
         });
@@ -210,9 +210,9 @@ class MisMpcRun {
           out.push_back(mis_.size());
           for (const VertexId v : mis_) out.push_back(v);
         },
-        [this](std::span<const Word> in) {
-          mis_.assign(in.begin() + 1,
-                      in.begin() + 1 + static_cast<std::ptrdiff_t>(in[0]));
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_counted();
+          mis_.assign(w.begin(), w.end());
         });
     // Residual aliveness, bit-packed. Aliveness only shrinks, so restore
     // reconciles by killing any vertex alive now but dead in the
@@ -226,10 +226,11 @@ class MisMpcRun {
             if (residual_.alive(v)) out[base + v / 64] |= Word{1} << (v % 64);
           }
         },
-        [this](std::span<const Word> in) {
+        [this](fault::SectionReader& in) {
+          const auto w = in.take_span((n_ + 63) / 64);
           std::vector<VertexId> to_kill;
           for (VertexId v = 0; v < n_; ++v) {
-            const bool want = ((in[v / 64] >> (v % 64)) & Word{1}) != 0;
+            const bool want = ((w[v / 64] >> (v % 64)) & Word{1}) != 0;
             if (!want && residual_.alive(v)) to_kill.push_back(v);
           }
           if (!to_kill.empty()) residual_.kill_batch(to_kill);
@@ -253,16 +254,13 @@ class MisMpcRun {
             out.push_back(e);
           }
         },
-        [this](std::span<const Word> in) {
-          std::size_t at = 0;
-          next_rank_ = static_cast<std::size_t>(in[at++]);
-          result_.rank_phases = static_cast<std::size_t>(in[at++]);
-          result_.sparsified_iterations = static_cast<std::size_t>(in[at++]);
-          result_.final_gather_edges = static_cast<std::size_t>(in[at++]);
-          const std::size_t phases = static_cast<std::size_t>(in[at++]);
-          result_.window_edges_per_phase.assign(
-              in.begin() + static_cast<std::ptrdiff_t>(at),
-              in.begin() + static_cast<std::ptrdiff_t>(at + phases));
+        [this](fault::SectionReader& in) {
+          next_rank_ = static_cast<std::size_t>(in.take());
+          result_.rank_phases = static_cast<std::size_t>(in.take());
+          result_.sparsified_iterations = static_cast<std::size_t>(in.take());
+          result_.final_gather_edges = static_cast<std::size_t>(in.take());
+          const auto w = in.take_counted();
+          result_.window_edges_per_phase.assign(w.begin(), w.end());
         });
   }
 

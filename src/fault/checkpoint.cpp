@@ -34,6 +34,13 @@ std::size_t dirty_range_cost(const CheckpointRegistry::Word* prev,
 
 }  // namespace
 
+void CheckpointRegistry::restore_provider(Provider& p,
+                                          std::span<const Word> words) {
+  SectionReader in("checkpoint section '" + p.name + "'", words);
+  p.restore(in);
+  in.finish();
+}
+
 void CheckpointRegistry::register_state(std::string name, SaveFn save,
                                         RestoreFn restore) {
   providers_.push_back({std::move(name), std::move(save), std::move(restore)});
@@ -90,8 +97,8 @@ void CheckpointRegistry::restore() {
     const Generation& g = gen(age);
     const std::size_t n = std::min(providers_.size(), g.images.size());
     for (std::size_t i = 0; i < n; ++i) {
-      providers_[i].restore(std::span<const Word>(
-          g.buffer.data() + g.images[i].offset, g.images[i].words));
+      restore_provider(providers_[i], {g.buffer.data() + g.images[i].offset,
+                                       g.images[i].words});
     }
     fallback_restores_ += age != 0;
     last_restored_round_ = g.round;
@@ -199,7 +206,7 @@ void CheckpointRegistry::install_sections(
           "durable checkpoint restore: no section for provider '" + p.name +
           "'");
     }
-    p.restore(std::span<const Word>(found->payload));
+    restore_provider(p, found->payload);
   }
 }
 

@@ -66,8 +66,10 @@ class CheckpointRegistry {
   using Word = std::uint64_t;
   /// Appends the provider's state to the buffer.
   using SaveFn = std::function<void(std::vector<Word>&)>;
-  /// Reinstates the provider's state from the words it saved.
-  using RestoreFn = std::function<void(std::span<const Word>)>;
+  /// Reinstates the provider's state from the words it saved, read
+  /// through a bounds-checked reader: reading past the section, or leaving
+  /// words unread, throws CheckpointError naming the section.
+  using RestoreFn = std::function<void(SectionReader&)>;
 
   /// Generations retained by default: the newest image plus one fallback.
   static constexpr std::size_t kDefaultGenerations = 2;
@@ -224,6 +226,8 @@ class CheckpointRegistry {
     return ring_[ring_.size() - 1 - age];
   }
   void serialize_into(Generation& g);
+  /// Runs `p`'s restore over `words` and checks it read all of them.
+  static void restore_provider(Provider& p, std::span<const Word> words);
 
   std::size_t generations_ = kDefaultGenerations;
   std::vector<Provider> providers_;

@@ -1,9 +1,17 @@
 #include "fault/durable.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <span>
+#include <string_view>
 
 #include "fault/checkpoint.h"
 #include "util/fnv.h"
@@ -16,16 +24,22 @@ using Word = std::uint64_t;
 
 /// The byte string "MPCGCKPT" read as one little-endian word.
 constexpr Word kMagic = 0x54504b434743504dULL;
-/// Version 2: the two "__engine" section words that held the engine's
-/// staging-path choice are reserved zeros (the engine has one staging
-/// representation); a version 1 file may hold non-zero state there.
-constexpr Word kVersion = 2;
+/// Version 3: the trailer digests the header only, which carries every
+/// payload's digest, so each payload word is folded once. Version 2 files
+/// digest the payloads a second time into the trailer; version 1 files
+/// may also hold non-zero staging-path state in two "__engine" words that
+/// are now reserved zeros.
+constexpr Word kVersion = 3;
 
 /// Guard rails for parsing garbage: any well-formed file the library
 /// writes stays far below these.
 constexpr Word kMaxScopeBytes = 1 << 16;
 constexpr Word kMaxNameBytes = 1 << 12;
 constexpr Word kMaxSections = 1 << 12;
+
+constexpr std::string_view kGenerationPrefix = "ckpt-";
+constexpr std::string_view kGenerationSuffix = ".mpcg";
+constexpr std::string_view kTempSuffix = ".tmp";
 
 std::size_t padded_words(std::size_t bytes) { return (bytes + 7) / 8; }
 
@@ -40,46 +54,98 @@ void append_string(std::vector<Word>& out, const std::string& s) {
   throw CheckpointError("durable checkpoint " + path + ": " + why);
 }
 
-/// Bounds-checked word cursor over the file body (trailer excluded).
-struct Cursor {
-  const std::string& path;
-  std::span<const Word> words;
-  std::size_t at = 0;
+std::string take_string(SectionReader& in, Word max_bytes) {
+  const Word bytes = in.take();
+  if (bytes > max_bytes) {
+    throw CheckpointError(in.context() + ": malformed string length");
+  }
+  const auto body = in.take_span(padded_words(bytes));
+  std::string s(bytes, '\0');
+  std::memcpy(s.data(), body.data(), bytes);
+  return s;
+}
 
-  Word take() {
-    if (at >= words.size()) bad_file(path, "truncated checkpoint file");
-    return words[at++];
-  }
-  std::span<const Word> take_span(std::size_t count) {
-    if (count > words.size() - at) {
-      bad_file(path, "truncated checkpoint file");
+/// Writes every byte `iov` covers, IOV_MAX entries per call, resuming
+/// after partial writes and EINTR. False on any other failure.
+bool write_all(int fd, std::vector<iovec>& iov) {
+  std::size_t first = 0;
+  while (first < iov.size()) {
+    const auto count =
+        static_cast<int>(std::min<std::size_t>(iov.size() - first, IOV_MAX));
+    const ssize_t wrote = ::writev(fd, iov.data() + first, count);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) return false;
+    auto left = static_cast<std::size_t>(wrote);
+    while (first < iov.size() && left >= iov[first].iov_len) {
+      left -= iov[first].iov_len;
+      ++first;
     }
-    const auto s = words.subspan(at, count);
-    at += count;
-    return s;
+    if (left != 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + left;
+      iov[first].iov_len -= left;
+    }
   }
-  std::string take_string(Word max_bytes) {
-    const Word bytes = take();
-    if (bytes > max_bytes) bad_file(path, "malformed string length");
-    const auto body = take_span(padded_words(bytes));
-    std::string s(bytes, '\0');
-    std::memcpy(s.data(), body.data(), bytes);
-    return s;
-  }
+  return true;
+}
+
+/// One file of a ring directory.
+struct RingFile {
+  Word seq = 0;
+  bool temp = false;  ///< ckpt-<seq>.mpcg.tmp: an unpublished write.
+  std::string path;
 };
 
+/// The ring files in `dir`, by ascending seq: ckpt-<seq>.mpcg and
+/// ckpt-<seq>.mpcg.tmp with <seq> in canonical decimal. Every other name
+/// is ignored.
+std::vector<RingFile> list_ring(const std::string& dir) {
+  std::vector<RingFile> files;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    std::string_view v = name;
+    RingFile f;
+    f.temp = v.ends_with(kTempSuffix);
+    if (f.temp) v.remove_suffix(kTempSuffix.size());
+    if (!v.starts_with(kGenerationPrefix) || !v.ends_with(kGenerationSuffix)) {
+      continue;
+    }
+    v.remove_prefix(kGenerationPrefix.size());
+    v.remove_suffix(kGenerationSuffix.size());
+    const auto parsed = std::from_chars(v.data(), v.data() + v.size(), f.seq);
+    if (parsed.ec != std::errc() || std::to_string(f.seq) != v) continue;
+    f.path = it->path().string();
+    files.push_back(std::move(f));
+  }
+  std::sort(files.begin(), files.end(),
+            [](const RingFile& a, const RingFile& b) { return a.seq < b.seq; });
+  return files;
+}
+
 }  // namespace
+
+void SectionReader::finish() const {
+  if (at_ != words_.size()) {
+    throw CheckpointError(context_ + ": " +
+                          std::to_string(words_.size() - at_) +
+                          " leftover word(s)");
+  }
+}
+
+void SectionReader::truncated(std::uint64_t wanted) const {
+  throw CheckpointError(context_ + ": truncated (wants " +
+                        std::to_string(wanted) + " more word(s), " +
+                        std::to_string(words_.size() - at_) + " left)");
+}
 
 std::size_t write_checkpoint_file(const std::string& path, std::uint64_t seq,
                                   std::uint64_t round,
                                   const std::string& scope,
                                   const std::vector<DurableSection>& sections) {
-  // Only the header is materialized; payloads stream straight from the
-  // sections into the stdio buffer, and the whole-file trailer is folded
-  // incrementally in the same pass. A persist therefore never builds a
-  // second in-memory copy of the provider state (the naive
-  // concatenate-then-digest version cost ~2x the payload bytes in copies
-  // per safe point — visible in E06_DiskCheckpointOverhead).
+  // Only the header is materialized. Each payload is folded once, into its
+  // section digest, and then handed to the kernel straight from the
+  // section buffer by one gathered write.
   std::vector<Word> header;
   header.push_back(kMagic);
   header.push_back(kVersion);
@@ -87,42 +153,44 @@ std::size_t write_checkpoint_file(const std::string& path, std::uint64_t seq,
   header.push_back(round);
   append_string(header, scope);
   header.push_back(sections.size());
+  std::size_t payload_words = 0;
   for (const DurableSection& s : sections) {
     append_string(header, s.name);
     header.push_back(s.payload.size());
     header.push_back(Fnv::digest(s.payload));
+    payload_words += s.payload.size();
   }
+  const Word trailer = Fnv::digest(header);
 
-  std::uint64_t trailer = Fnv::kOffset;
-  for (const Word w : header) trailer = Fnv::fold(trailer, w);
-  std::size_t total = header.size();
+  std::vector<iovec> iov;
+  iov.reserve(sections.size() + 2);
+  const auto add = [&iov](const Word* words, std::size_t count) {
+    if (count != 0) {
+      iov.push_back({const_cast<Word*>(words), count * sizeof(Word)});
+    }
+  };
+  add(header.data(), header.size());
   for (const DurableSection& s : sections) {
-    for (const Word w : s.payload) trailer = Fnv::fold(trailer, w);
-    total += s.payload.size();
+    add(s.payload.data(), s.payload.size());
   }
-  total += 1;  // trailer word
+  add(&trailer, 1);
 
   // Temp file + atomic rename: a reader never sees a torn write.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) bad_file(tmp, "cannot open for writing");
-  std::size_t wrote =
-      std::fwrite(header.data(), sizeof(Word), header.size(), f);
-  for (const DurableSection& s : sections) {
-    if (s.payload.empty()) continue;  // fwrite forbids a null source
-    wrote += std::fwrite(s.payload.data(), sizeof(Word), s.payload.size(), f);
-  }
-  wrote += std::fwrite(&trailer, sizeof(Word), 1, f);
-  const bool flushed = std::fclose(f) == 0;
-  if (wrote != total || !flushed) {
-    std::remove(tmp.c_str());
+  const std::string tmp = path + std::string(kTempSuffix);
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) bad_file(tmp, "cannot open for writing");
+  const bool wrote = write_all(fd, iov);
+  const bool closed = ::close(fd) == 0;
+  if (!wrote || !closed) {
+    ::unlink(tmp.c_str());
     bad_file(tmp, "short write");
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
     bad_file(path, "cannot publish (rename failed)");
   }
-  return total;
+  return header.size() + payload_words + 1;
 }
 
 std::size_t write_checkpoint_file(const std::string& path,
@@ -154,13 +222,15 @@ DurableCheckpoint read_checkpoint_file(const std::string& path) {
                        std::to_string(kVersion) + ")");
   }
 
-  // Parse the body (everything but the trailer word).
-  Cursor c{path, std::span<const Word>(words).first(words.size() - 1), 2};
+  // Parse the header (the body is everything but the trailer word).
+  const auto body = std::span<const Word>(words).first(words.size() - 1);
+  SectionReader in("durable checkpoint " + path, body);
+  in.take_span(2);  // magic, version
   DurableCheckpoint ckpt;
-  ckpt.seq = c.take();
-  ckpt.round = c.take();
-  ckpt.scope = c.take_string(kMaxScopeBytes);
-  const Word nsections = c.take();
+  ckpt.seq = in.take();
+  ckpt.round = in.take();
+  ckpt.scope = take_string(in, kMaxScopeBytes);
+  const Word nsections = in.take();
   if (nsections > kMaxSections) bad_file(path, "malformed section count");
   struct Header {
     std::string name;
@@ -169,32 +239,39 @@ DurableCheckpoint read_checkpoint_file(const std::string& path) {
   };
   std::vector<Header> headers;
   headers.reserve(nsections);
+  Word payload_words = 0;
   for (Word i = 0; i < nsections; ++i) {
     Header h;
-    h.name = c.take_string(kMaxNameBytes);
-    h.payload_words = c.take();
-    h.fnv = c.take();
+    h.name = take_string(in, kMaxNameBytes);
+    h.payload_words = in.take();
+    h.fnv = in.take();
+    if (h.payload_words > in.remaining() - payload_words) {
+      bad_file(path, "truncated checkpoint file");
+    }
+    payload_words += h.payload_words;
     headers.push_back(std::move(h));
   }
-  std::string rotted;
   const std::string round_tag = " (round " + std::to_string(ckpt.round) + ")";
-  for (Header& h : headers) {
-    const auto payload = c.take_span(h.payload_words);
-    DurableSection s;
-    s.name = std::move(h.name);
-    s.payload.assign(payload.begin(), payload.end());
-    if (Fnv::digest(s.payload) != h.fnv) {
-      rotted += rotted.empty() ? "" : ", ";
-      rotted += s.name;
-    }
-    ckpt.sections.push_back(std::move(s));
+  if (in.remaining() != payload_words) {
+    bad_file(path, "trailing garbage" + round_tag);
   }
-  if (c.at != c.words.size()) bad_file(path, "trailing garbage" + round_tag);
+  // The trailer binds the header, and through its per-section digests
+  // every payload.
+  if (Fnv::digest(body.first(body.size() - in.remaining())) != words.back()) {
+    bad_file(path, "header digest mismatch" + round_tag);
+  }
+  std::string rotted;
+  for (Header& h : headers) {
+    const auto payload = in.take_span(h.payload_words);
+    if (Fnv::digest(payload) != h.fnv) {
+      rotted += rotted.empty() ? "" : ", ";
+      rotted += h.name;
+    }
+    ckpt.sections.push_back(
+        {std::move(h.name), std::vector<Word>(payload.begin(), payload.end())});
+  }
   if (!rotted.empty()) {
     bad_file(path, "provider(s) failing verification: " + rotted + round_tag);
-  }
-  if (Fnv::digest({words.data(), words.size() - 1}) != words.back()) {
-    bad_file(path, "whole-file digest mismatch" + round_tag);
   }
   return ckpt;
 }
@@ -209,43 +286,54 @@ DurableRing::DurableRing(std::string dir) : dir_(std::move(dir)) {
   rescan();
 }
 
-std::string DurableRing::slot_path(std::size_t slot) const {
-  return dir_ + "/ckpt-" + std::to_string(slot) + ".mpcg";
+std::string DurableRing::generation_path(std::uint64_t seq) const {
+  return dir_ + "/" + std::string(kGenerationPrefix) + std::to_string(seq) +
+         std::string(kGenerationSuffix);
+}
+
+std::vector<std::string> DurableRing::generation_paths() const {
+  std::vector<std::string> paths;
+  for (const Word seq : live_) paths.push_back(generation_path(seq));
+  return paths;
 }
 
 void DurableRing::rescan() {
-  // Peek the seq word of each slot header; an unreadable or garbage slot
-  // counts as seq 0 so the next save overwrites it first.
-  Word seqs[kSlots] = {0, 0};
-  for (std::size_t slot = 0; slot < kSlots; ++slot) {
-    std::FILE* f = std::fopen(slot_path(slot).c_str(), "rb");
-    if (f == nullptr) continue;
-    Word head[3] = {0, 0, 0};
-    const std::size_t got = std::fread(head, sizeof(Word), 3, f);
-    std::fclose(f);
-    if (got == 3 && head[0] == kMagic && head[1] == kVersion) {
-      seqs[slot] = head[2];
+  // A killed save leaves at most a temp file (killed before its rename) or
+  // one generation too many (killed between its rename and its unlink);
+  // both are swept here.
+  live_.clear();
+  for (const RingFile& f : list_ring(dir_)) {
+    if (f.temp) {
+      ::unlink(f.path.c_str());
+    } else {
+      live_.push_back(f.seq);
     }
   }
-  next_seq_ = std::max(seqs[0], seqs[1]) + 1;
-  write_slot_ = seqs[0] <= seqs[1] ? 0 : 1;
+  drop_superseded();
+  next_seq_ = live_.empty() ? 1 : live_.back() + 1;
+}
+
+void DurableRing::drop_superseded() {
+  while (live_.size() > kSlots) {
+    ::unlink(generation_path(live_.front()).c_str());
+    live_.erase(live_.begin());
+  }
 }
 
 void DurableRing::reset() {
-  for (std::size_t slot = 0; slot < kSlots; ++slot) {
-    std::remove(slot_path(slot).c_str());
-    std::remove((slot_path(slot) + ".tmp").c_str());
-  }
+  for (const RingFile& f : list_ring(dir_)) ::unlink(f.path.c_str());
+  live_.clear();
   next_seq_ = 1;
-  write_slot_ = 0;
 }
 
 std::size_t DurableRing::save(std::uint64_t round, const std::string& scope,
                               const std::vector<DurableSection>& sections) {
   const std::size_t words = write_checkpoint_file(
-      slot_path(write_slot_), next_seq_, round, scope, sections);
-  ++next_seq_;
-  write_slot_ = (write_slot_ + 1) % kSlots;
+      generation_path(next_seq_), next_seq_, round, scope, sections);
+  live_.push_back(next_seq_++);
+  // Only now that the new generation is published may the one before the
+  // previous go: the two newest are complete on disk at every instant.
+  drop_superseded();
   return words;
 }
 
@@ -254,11 +342,12 @@ std::optional<DurableLoad> DurableRing::load(const std::string& scope) const {
   std::string errors;
   std::size_t existing = 0;
   std::size_t failed = 0;
-  for (std::size_t slot = 0; slot < kSlots; ++slot) {
-    if (!std::filesystem::exists(slot_path(slot))) continue;
+  for (auto seq = live_.rbegin(); seq != live_.rend(); ++seq) {
+    const std::string path = generation_path(*seq);
+    if (!std::filesystem::exists(path)) continue;
     ++existing;
     try {
-      DurableCheckpoint ckpt = read_checkpoint_file(slot_path(slot));
+      DurableCheckpoint ckpt = read_checkpoint_file(path);
       if (ckpt.scope != scope) continue;  // another run's leftovers
       if (!best || ckpt.seq > best->seq) best = std::move(ckpt);
     } catch (const CheckpointError& e) {

@@ -720,47 +720,33 @@ void Engine::engine_section_into(fault::DurableSection& s) const {
 }
 
 void Engine::install_engine_section(std::span<const Word> payload) {
-  const std::size_t mw = sizeof(Metrics) / sizeof(Word);
-  std::size_t at = 0;
-  const auto take = [&]() -> Word {
-    if (at >= payload.size()) {
-      throw fault::CheckpointError(
-          "durable checkpoint restore: truncated __engine section");
-    }
-    return payload[at++];
-  };
-  if (payload.size() < mw) {
-    throw fault::CheckpointError(
-        "durable checkpoint restore: truncated __engine section");
-  }
-  std::memcpy(static_cast<void*>(&metrics_), payload.data(), sizeof(Metrics));
-  at = mw;
-  if (take() != 0 || take() != 0) {
+  fault::SectionReader in("checkpoint section '__engine'", payload);
+  std::memcpy(static_cast<void*>(&metrics_),
+              in.take_span(sizeof(Metrics) / sizeof(Word)).data(),
+              sizeof(Metrics));
+  if (in.take() != 0 || in.take() != 0) {
     throw fault::CheckpointError(
         "durable checkpoint restore: non-zero reserved word in __engine "
         "section");
   }
-  crashes_recovered_ = static_cast<std::size_t>(take());
+  crashes_recovered_ = static_cast<std::size_t>(in.take());
   delayed_.clear();
-  const Word ndelayed = take();
+  const Word ndelayed = in.take();
   for (Word i = 0; i < ndelayed; ++i) {
     DelayedFlush d;
-    d.from = static_cast<std::size_t>(take());
-    const Word ntos = take();
-    const Word ncounts = take();
-    const Word nwords = take();
-    d.tos.reserve(ntos);
-    for (Word k = 0; k < ntos; ++k) {
-      d.tos.push_back(static_cast<std::uint32_t>(take()));
-    }
-    d.counts.reserve(ncounts);
-    for (Word k = 0; k < ncounts; ++k) {
-      d.counts.push_back(static_cast<std::uint32_t>(take()));
-    }
-    d.words.reserve(nwords);
-    for (Word k = 0; k < nwords; ++k) d.words.push_back(take());
+    d.from = static_cast<std::size_t>(in.take());
+    const Word ntos = in.take();
+    const Word ncounts = in.take();
+    const Word nwords = in.take();
+    const auto tos = in.take_span(ntos);
+    d.tos.assign(tos.begin(), tos.end());
+    const auto counts = in.take_span(ncounts);
+    d.counts.assign(counts.begin(), counts.end());
+    const auto words = in.take_span(nwords);
+    d.words.assign(words.begin(), words.end());
     delayed_.push_back(std::move(d));
   }
+  in.finish();
 }
 
 void Engine::persist() {

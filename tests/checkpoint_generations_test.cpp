@@ -40,8 +40,9 @@ void register_vector(CheckpointRegistry& reg, const char* name,
       [&state](std::vector<Word>& out) {
         out.insert(out.end(), state.begin(), state.end());
       },
-      [&state](std::span<const Word> in) {
-        state.assign(in.begin(), in.end());
+      [&state](fault::SectionReader& in) {
+        const auto words = in.take_rest();
+        state.assign(words.begin(), words.end());
       });
 }
 

@@ -2,14 +2,18 @@
 // the corruption-safety property (a load after ANY single-bit flip or any
 // truncation must fall back to an older verified generation or throw the
 // typed CheckpointError — never silently hand back corrupt state), the
-// two-slot ring semantics, and driver-level stop/resume bit-identity via
-// the deterministic stop_after_safe_points kill point.
+// generation ring's publish protocol (fresh names, two generations kept,
+// leftovers swept), bounds-checked section restores, and driver-level
+// stop/resume bit-identity via the deterministic stop_after_safe_points
+// kill point.
 //
 // The process-boundary version of the same contract (real fork + SIGKILL +
 // --resume) lives in tools/mpcg_chaos --kill-storms; these tests cover the
 // in-process seams deterministically.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -53,6 +57,41 @@ std::vector<char> slurp(const std::string& p) {
 void spit(const std::string& p, const std::vector<char>& bytes) {
   std::ofstream out(p, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// File names in `dir`, sorted.
+std::vector<std::string> dir_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// The newest generation in a ring directory.
+std::string newest_generation(const std::string& dir) {
+  const std::vector<std::string> paths = DurableRing(dir).generation_paths();
+  return paths.empty() ? std::string() : paths.back();
+}
+
+/// Rewrites the newest generation in `dir` with section `name`'s payload
+/// replaced by `payload`. Every digest is recomputed, so the file verifies
+/// and only the section's length is wrong.
+void rewrite_newest_section(const std::string& dir, const std::string& name,
+                            std::vector<std::uint64_t> payload) {
+  const std::string path = newest_generation(dir);
+  ASSERT_FALSE(path.empty()) << "no generation in " << dir;
+  DurableCheckpoint c = fault::read_checkpoint_file(path);
+  bool found = false;
+  for (DurableSection& s : c.sections) {
+    if (s.name == name) {
+      s.payload = payload;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found) << "no section '" << name << "' in " << path;
+  fault::write_checkpoint_file(path, c);
 }
 
 DurableCheckpoint sample_checkpoint() {
@@ -159,10 +198,11 @@ TEST(DurableCheckpoint, StaleVersionIsRejectedEvenWithValidTrailer) {
   }
 }
 
-TEST(DurableCheckpoint, Version1FileIsRejectedByVersion) {
-  // Version 1 engine sections carried two staging-path words the engine no
-  // longer writes; a leftover v1 file must fail on its version word, with
-  // the typed error, before any section is parsed.
+/// Rewrites a valid file as format `version`, with a trailer over every
+/// preceding word (what formats 1 and 2 wrote), and checks the reader
+/// refuses it on its version word with the typed error, before any
+/// section is parsed.
+void expect_version_rejected(std::uint64_t version) {
   TempDir td;
   const std::string path = td.path + "/ck.mpcg";
   fault::write_checkpoint_file(path, sample_checkpoint());
@@ -170,23 +210,36 @@ TEST(DurableCheckpoint, Version1FileIsRejectedByVersion) {
   const std::size_t words = bytes.size() / sizeof(std::uint64_t);
   std::vector<std::uint64_t> w(words);
   std::memcpy(w.data(), bytes.data(), bytes.size());
-  w[1] = 1;  // version word
+  w[1] = version;  // version word
   w[words - 1] =
       Fnv::digest(std::span<const std::uint64_t>(w.data(), words - 1));
   std::memcpy(bytes.data(), w.data(), bytes.size());
   spit(path, bytes);
   try {
     (void)fault::read_checkpoint_file(path);
-    FAIL() << "version 1 file was accepted";
+    FAIL() << "version " << version << " file was accepted";
   } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "unsupported checkpoint version 1 (want 2)"),
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version " +
+                                         std::to_string(version) +
+                                         " (want 3)"),
               std::string::npos)
         << e.what();
   }
 }
 
-// ------------------------------------------------------------- slot ring
+TEST(DurableCheckpoint, Version1FileIsRejectedByVersion) {
+  // Version 1 engine sections carried two staging-path words the engine no
+  // longer writes.
+  expect_version_rejected(1);
+}
+
+TEST(DurableCheckpoint, Version2FileIsRejectedByVersion) {
+  // Version 2 trailers digest the payloads a second time; format 3's
+  // trailer binds the header only.
+  expect_version_rejected(2);
+}
+
+// ------------------------------------------------------- generation ring
 
 TEST(DurableRing, ScopeMismatchIsACleanFreshStart) {
   TempDir td;
@@ -204,7 +257,7 @@ TEST(DurableRing, EmptyDirectoryLoadsNothing) {
 
 TEST(DurableRing, NewestRotFallsBackForEveryBytePosition) {
   // The ring-level corruption-safety property: with two generations on
-  // disk, flip one bit at EVERY byte position of the newest slot file —
+  // disk, flip one bit at EVERY byte position of the newest generation —
   // every load must come back as the older generation with the fallback
   // flag set, bit-identical to what round 1 saved. No flip may surface
   // round-2 data or escape unflagged.
@@ -214,11 +267,11 @@ TEST(DurableRing, NewestRotFallsBackForEveryBytePosition) {
   ring.save(1, "s", {{"p", old_payload}});
   ring.save(2, "s", {{"p", {40, 50, 60, 70}}});
 
-  // Identify the newest slot by round tag.
+  // Identify the newest generation by round tag.
   std::string newest;
-  for (std::size_t slot = 0; slot < DurableRing::kSlots; ++slot) {
-    const auto c = fault::read_checkpoint_file(ring.slot_path(slot));
-    if (c.round == 2) newest = ring.slot_path(slot);
+  for (const std::string& path : ring.generation_paths()) {
+    const auto c = fault::read_checkpoint_file(path);
+    if (c.round == 2) newest = path;
   }
   ASSERT_FALSE(newest.empty());
   const std::vector<char> good = slurp(newest);
@@ -248,16 +301,17 @@ TEST(DurableRing, AllSlotsRottenThrowsAggregateError) {
   DurableRing ring(td.path + "/ck");
   ring.save(1, "s", {{"p", {1, 2, 3}}});
   ring.save(2, "s", {{"p", {4, 5, 6}}});
-  for (std::size_t slot = 0; slot < DurableRing::kSlots; ++slot) {
-    std::vector<char> bytes = slurp(ring.slot_path(slot));
+  ASSERT_EQ(ring.generation_paths().size(), DurableRing::kSlots);
+  for (const std::string& path : ring.generation_paths()) {
+    std::vector<char> bytes = slurp(path);
     bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);
-    spit(ring.slot_path(slot), bytes);
+    spit(path, bytes);
   }
   try {
     (void)ring.load("s");
-    FAIL() << "load with every slot rotted did not throw";
+    FAIL() << "load with every generation rotted did not throw";
   } catch (const CheckpointError& e) {
-    // The aggregate error names the slot files it rejected.
+    // The aggregate error names the generation files it rejected.
     EXPECT_NE(std::string(e.what()).find("ckpt-"), std::string::npos)
         << e.what();
   }
@@ -265,13 +319,95 @@ TEST(DurableRing, AllSlotsRottenThrowsAggregateError) {
 
 TEST(DurableRing, ResetDropsStaleFiles) {
   TempDir td;
+  const std::string dir = td.path + "/ck";
   {
-    DurableRing ring(td.path + "/ck");
+    DurableRing ring(dir);
     ring.save(1, "s", {{"p", {1}}});
+    ring.save(2, "s", {{"p", {2}}});
   }
-  DurableRing ring(td.path + "/ck");
+  DurableRing ring(dir);
+  spit(dir + "/ckpt-3.mpcg.tmp", {'x'});
   ring.reset();
   EXPECT_FALSE(ring.load("s").has_value());
+  EXPECT_TRUE(ring.generation_paths().empty());
+  EXPECT_TRUE(dir_names(dir).empty());
+}
+
+TEST(DurableRing, SaveNeverReplacesAnExistingPath) {
+  // Each save publishes under a name that did not exist before: the
+  // previous newest generation keeps its inode and its bytes.
+  TempDir td;
+  DurableRing ring(td.path + "/ck");
+  ring.save(1, "s", {{"p", {1, 2}}});
+  for (std::uint64_t round = 2; round <= 5; ++round) {
+    const std::string prev = ring.generation_paths().back();
+    struct stat before {};
+    ASSERT_EQ(::stat(prev.c_str(), &before), 0);
+    const std::vector<char> bytes = slurp(prev);
+    ring.save(round, "s", {{"p", {round, round + 1}}});
+    const std::string now = ring.generation_paths().back();
+    EXPECT_NE(now, prev) << "round " << round;
+    struct stat after {};
+    ASSERT_EQ(::stat(prev.c_str(), &after), 0) << "round " << round;
+    EXPECT_EQ(after.st_ino, before.st_ino) << "round " << round;
+    EXPECT_EQ(slurp(prev), bytes) << "round " << round;
+  }
+}
+
+TEST(DurableRing, SavesKeepExactlyTheTwoNewestGenerations) {
+  TempDir td;
+  const std::string dir = td.path + "/ck";
+  DurableRing ring(dir);
+  for (std::uint64_t round = 1; round <= 7; ++round) {
+    ring.save(round, "s", {{"p", {round}}});
+  }
+  EXPECT_EQ(dir_names(dir),
+            (std::vector<std::string>{"ckpt-6.mpcg", "ckpt-7.mpcg"}));
+  EXPECT_EQ(ring.generation_paths(),
+            (std::vector<std::string>{dir + "/ckpt-6.mpcg",
+                                      dir + "/ckpt-7.mpcg"}));
+  const auto loaded = ring.load("s");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->checkpoint.round, 7U);
+  EXPECT_FALSE(loaded->fallback);
+}
+
+TEST(DurableRing, RescanSweepsWhatAKilledSaveLeaves) {
+  // A kill between a save's rename and its unlink leaves three
+  // generations; a kill before the rename leaves a temp file. A resumed
+  // ring loads the newest, ignores names that are not ckpt-<digits>.mpcg,
+  // and is back to two generations after its next save.
+  TempDir td;
+  const std::string dir = td.path + "/ck";
+  std::filesystem::create_directories(dir);
+  for (std::uint64_t seq = 3; seq <= 5; ++seq) {
+    DurableCheckpoint c;
+    c.seq = seq;
+    c.round = 10 * seq;
+    c.scope = "s";
+    c.sections.push_back({"p", {seq}});
+    fault::write_checkpoint_file(dir + "/ckpt-" + std::to_string(seq) +
+                                     ".mpcg",
+                                 c);
+  }
+  spit(dir + "/ckpt-6.mpcg.tmp", {'t', 'o', 'r', 'n'});
+  spit(dir + "/ckpt-junk.mpcg", {'j'});
+
+  DurableRing ring(dir);
+  const auto loaded = ring.load("s");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->checkpoint.seq, 5U);
+  EXPECT_EQ(loaded->checkpoint.round, 50U);
+  EXPECT_FALSE(loaded->fallback);
+
+  ring.save(60, "s", {{"p", {6}}});
+  EXPECT_EQ(dir_names(dir), (std::vector<std::string>{
+                                "ckpt-5.mpcg", "ckpt-6.mpcg",
+                                "ckpt-junk.mpcg"}));
+  const auto next = ring.load("s");
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->checkpoint.seq, 6U);
+  EXPECT_EQ(next->checkpoint.round, 60U);
 }
 
 // ----------------------------------------------- driver stop/resume seams
@@ -464,7 +600,7 @@ TEST(DurableResume, ResumeFallsBackPastARottedOnDiskGeneration) {
   // and resume: the load must fall back to the older verified generation
   // (disk_fallbacks tick) and the longer replay must still end
   // bit-identical. matching_mpc has a safe point per phase/tail iteration
-  // (dozens at this size), so stop 5 fills both ring slots.
+  // (dozens at this size), so stop 5 leaves two generations.
   const Graph g = make_family("gnp_sparse", 1200, 25);
   MatchingMpcOptions opt;
   opt.seed = 25;
@@ -483,13 +619,13 @@ TEST(DurableResume, ResumeFallsBackPastARottedOnDiskGeneration) {
   const DurableRing ring(td.path + "/ck");
   std::string newest;
   std::uint64_t best_seq = 0;
-  for (std::size_t slot = 0; slot < DurableRing::kSlots; ++slot) {
+  for (const std::string& path : ring.generation_paths()) {
     std::error_code ec;
-    if (!std::filesystem::exists(ring.slot_path(slot), ec)) continue;
-    const auto c = fault::read_checkpoint_file(ring.slot_path(slot));
+    if (!std::filesystem::exists(path, ec)) continue;
+    const auto c = fault::read_checkpoint_file(path);
     if (c.seq > best_seq) {
       best_seq = c.seq;
-      newest = ring.slot_path(slot);
+      newest = path;
     }
   }
   ASSERT_FALSE(newest.empty());
@@ -507,6 +643,65 @@ TEST(DurableResume, ResumeFallsBackPastARottedOnDiskGeneration) {
   EXPECT_EQ(res.metrics.rounds, clean.metrics.rounds);
   EXPECT_EQ(res.metrics.resume_loads, 1U);
   EXPECT_GE(res.metrics.disk_fallbacks, 1U);
+}
+
+// ------------------------------------------- short or overlong sections
+
+TEST(DurableResume, ShortOuterCursorThrowsInsteadOfReadingPastIt) {
+  // A same-scope outer cursor whose section verifies but claims a
+  // 1,000,000-edge matching it does not hold.
+  const Graph g = make_family("gnp_sparse", 600, 21);
+  IntegralMatchingOptions opt;
+  opt.seed = 21;
+  TempDir td;
+  std::atomic<bool> stop{true};
+  IntegralMatchingOptions d = opt;
+  d.durable.dir = td.path + "/ck";
+  d.durable.stop_flag = &stop;
+  EXPECT_THROW((void)integral_matching(g, d), ResumableInterrupt);
+  rewrite_newest_section(td.path + "/ck/outer", "outer", {0, 1000000});
+  IntegralMatchingOptions r = opt;
+  r.durable.dir = td.path + "/ck";
+  r.durable.resume = true;
+  try {
+    (void)integral_matching(g, r);
+    FAIL() << "a short outer cursor was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("'outer'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DurableResume, ShortOrOverlongProviderSectionThrowsNamingIt) {
+  // A same-scope generation whose 'freeze' section verifies but holds 3
+  // words instead of one per vertex, or one word too many.
+  const Graph g = make_family("gnp_sparse", 1200, 25);
+  MatchingMpcOptions opt;
+  opt.seed = 25;
+  for (const bool overlong : {false, true}) {
+    TempDir td;
+    MatchingMpcOptions d = opt;
+    d.durable.dir = td.path + "/ck";
+    d.durable.stop_after_safe_points = 1;
+    EXPECT_THROW((void)matching_mpc(g, d), ResumableInterrupt);
+    std::vector<std::uint64_t> freeze = {0, 0, 0};
+    if (overlong) freeze.assign(g.num_vertices() + 1, 0);
+    rewrite_newest_section(td.path + "/ck", "freeze", freeze);
+    MatchingMpcOptions r = opt;
+    r.durable.dir = td.path + "/ck";
+    r.durable.resume = true;
+    try {
+      (void)matching_mpc(g, r);
+      FAIL() << "a " << (overlong ? "overlong" : "short")
+             << " freeze section was accepted";
+    } catch (const CheckpointError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'freeze'"), std::string::npos) << what;
+      EXPECT_NE(what.find(overlong ? "leftover" : "truncated"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 // -------------------------------------------------------- metric hygiene

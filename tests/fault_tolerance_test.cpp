@@ -167,8 +167,9 @@ TEST(CheckpointRegistry, CaptureRestoreRoundTripsProviders) {
       [&](std::vector<fault::CheckpointRegistry::Word>& out) {
         out.insert(out.end(), state_a.begin(), state_a.end());
       },
-      [&](std::span<const fault::CheckpointRegistry::Word> in) {
-        state_a.assign(in.begin(), in.end());
+      [&](fault::SectionReader& in) {
+        const auto words = in.take_rest();
+        state_a.assign(words.begin(), words.end());
       });
   reg.register_state(
       "b",
@@ -178,8 +179,9 @@ TEST(CheckpointRegistry, CaptureRestoreRoundTripsProviders) {
         __builtin_memcpy(&w, &state_b, sizeof w);
         out.push_back(w);
       },
-      [&](std::span<const fault::CheckpointRegistry::Word> in) {
-        __builtin_memcpy(&state_b, &in[0], sizeof state_b);
+      [&](fault::SectionReader& in) {
+        const fault::CheckpointRegistry::Word w = in.take();
+        __builtin_memcpy(&state_b, &w, sizeof state_b);
       });
   EXPECT_EQ(reg.num_providers(), 2U);
   EXPECT_FALSE(reg.has_checkpoint());
@@ -208,17 +210,16 @@ TEST(CheckpointRegistry, IncrementalCapturesChargeDirtyRangesOnly) {
       [&](std::vector<fault::CheckpointRegistry::Word>& out) {
         out.insert(out.end(), vec.begin(), vec.end());
       },
-      [&](std::span<const fault::CheckpointRegistry::Word> in) {
-        vec.assign(in.begin(), in.end());
+      [&](fault::SectionReader& in) {
+        const auto words = in.take_rest();
+        vec.assign(words.begin(), words.end());
       });
   reg.register_state(
       "scalar",
       [&](std::vector<fault::CheckpointRegistry::Word>& out) {
         out.push_back(scalar);
       },
-      [&](std::span<const fault::CheckpointRegistry::Word> in) {
-        scalar = in[0];
-      });
+      [&](fault::SectionReader& in) { scalar = in.take(); });
 
   // First capture is a full serialization of both providers.
   EXPECT_EQ(reg.capture(), 65U);
@@ -265,8 +266,9 @@ TEST(CheckpointRegistry, DenseDirtStillCapsAtFullSaveCost) {
       [&](std::vector<fault::CheckpointRegistry::Word>& out) {
         out.insert(out.end(), vec.begin(), vec.end());
       },
-      [&](std::span<const fault::CheckpointRegistry::Word> in) {
-        vec.assign(in.begin(), in.end());
+      [&](fault::SectionReader& in) {
+        const auto words = in.take_rest();
+        vec.assign(words.begin(), words.end());
       });
   EXPECT_EQ(reg.capture(), 32U);
   for (auto& w : vec) w += 1;

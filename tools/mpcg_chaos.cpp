@@ -32,8 +32,10 @@
 // Each kill storm forks a reference `mpcg_run` (no persistence), then a
 // persistent run SIGKILLed at a seeded 10–90% of the reference wall time,
 // then one `--resume` relaunch — whose stdout must be bit-identical to the
-// reference after dropping the disk-metric lines. Drivers and graph
-// families cycle unless pinned with --kill-driver / --kill-family.
+// reference after dropping the disk-metric lines, and whose checkpoint
+// directory must be left with at most two ckpt-*.mpcg generations and no
+// *.tmp file per ring (else a greppable RING_LEFTOVERS line). Drivers and
+// graph families cycle unless pinned with --kill-driver / --kill-family.
 //
 // Exits 0 iff every storm passes; any mismatch prints a FAIL line plus one
 // greppable DIVERGED line naming the (seed, driver, family) tuple, and
@@ -341,6 +343,41 @@ std::string make_temp_dir() {
   return std::string(buf.data());
 }
 
+/// Checks every ring directory under `dir` (itself included) after a
+/// resume: at most two ckpt-*.mpcg generations and no *.tmp file. Prints
+/// one greppable RING_LEFTOVERS line per offending directory and returns
+/// false if there is any.
+bool rings_swept(const std::string& dir, const std::string& label) {
+  std::vector<std::filesystem::path> dirs = {dir};
+  std::error_code ec;
+  for (std::filesystem::recursive_directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->is_directory(ec)) dirs.push_back(it->path());
+  }
+  bool ok = true;
+  for (const auto& d : dirs) {
+    std::size_t generations = 0;
+    std::size_t temps = 0;
+    for (std::filesystem::directory_iterator it(d, ec), end;
+         !ec && it != end; it.increment(ec)) {
+      const std::string name = it->path().filename().string();
+      const std::string_view v = name;
+      if (v.ends_with(".tmp")) {
+        ++temps;
+      } else if (v.starts_with("ckpt-") && v.ends_with(".mpcg")) {
+        ++generations;
+      }
+    }
+    if (generations > 2 || temps != 0) {
+      std::fprintf(stderr,
+                   "RING_LEFTOVERS %s dir=%s generations=%zu temps=%zu\n",
+                   label.c_str(), d.string().c_str(), generations, temps);
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 /// One kill storm: reference run, SIGKILLed persistent run, --resume
 /// relaunch, bit-identity check. Returns true iff the storm is clean.
 bool kill_storm(const std::string& run_bin, const char* driver,
@@ -395,6 +432,10 @@ bool kill_storm(const std::string& run_bin, const char* driver,
                 "resumed output diverged from the reference run", label,
                 failures);
   }
+  ok &= check(rings_swept(dir, label),
+              "a ring directory holds more than two generations or a temp "
+              "file",
+              label, failures);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   if (ok && verbose) {
