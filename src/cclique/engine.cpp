@@ -6,7 +6,6 @@
 
 #include "fault/checkpoint.h"
 #include "fault/fault_plan.h"
-#include "util/rng.h"
 
 namespace mpcg::cclique {
 
@@ -15,7 +14,8 @@ Engine::Engine(std::size_t num_players, bool strict, bool integrity,
     : n_(num_players), strict_(strict), integrity_(integrity), audit_(audit),
       scrub_interval_(scrub_interval), backend_(mpc::make_backend(threads)),
       inbox_(num_players), broadcasting_(num_players, 0),
-      sent_(num_players, 0), received_(num_players, 0) {
+      sent_(num_players, 0), received_(num_players, 0),
+      sup_(num_players, integrity, "player", "broadcast store") {
   if (num_players == 0) {
     throw std::invalid_argument("Engine: need at least one player");
   }
@@ -64,17 +64,18 @@ void Engine::exchange() {
     delayed_.clear();
   }
   if (audit_) begin_audit();
-  if (fault_plan_ != nullptr) {
-    const auto events = fault_plan_->events_at(metrics_.rounds);
+  if (sup_.plan() != nullptr) {
+    const auto events = sup_.plan()->events_at(metrics_.rounds);
     if (!events.empty()) {
-      exchange_faulty(events);
+      sup_.run_faulty_round(*this, events, metrics_.rounds);
+      fault_snap_ = Snapshot{};  // release the rollback copy
       return;
     }
   }
-  exchange_impl();
+  deliver();
 }
 
-void Engine::exchange_impl() {
+void Engine::deliver() {
   // The one integrity pass per exchange — before the sort below reorders
   // pending_ away from send (fold) order.
   if (integrity_) {
@@ -82,16 +83,10 @@ void Engine::exchange_impl() {
         (metrics_.rounds + 1) % scrub_interval_ == 0) {
       scrub_pass();
     }
-    verify_streams();
+    verify_streams("in round ", true);
     // The broadcast store ships (and aliases) below; rot that escaped the
     // repair path must not reach the readers.
-    if (!bcast_store_ok()) {
-      throw IntegrityError(
-          "broadcast store (" + std::to_string(bcast_staging_.size()) +
-          " words) fails its digest in round " +
-          std::to_string(metrics_.rounds) +
-          ": corruption was not repaired before delivery");
-    }
+    verify_store("in round ");
   }
   // Per-ordered-pair budget: sort point-to-point messages and detect
   // duplicates; broadcasts consume the (from, *) budget for every pair.
@@ -329,42 +324,24 @@ void Engine::restore(const Snapshot& snap) {
   metrics_ = snap.metrics;
 }
 
-void Engine::set_fault_plan(const fault::FaultPlan* plan,
-                            fault::CheckpointRegistry* registry,
-                            bool recover) {
-  // The registry is kept even with a null/empty plan: durability persists
-  // provider state through it without any fault injection attached.
-  fault_plan_ = (plan != nullptr && !plan->empty()) ? plan : nullptr;
-  registry_ = registry;
-  fault_recover_ = recover;
+std::size_t Engine::snapshot_staging() {
+  fault_snap_ = snapshot();
+  return fault_snap_.words();
 }
 
-// ---------------------------------------------------------------------------
-// On-disk durability (see set_durability; mirrors mpc::Engine).
-
-void Engine::set_durability(const fault::DurableOptions& options,
-                            std::string scope) {
-  if (!options.enabled()) return;
-  if (options.every == 0) {
-    throw std::invalid_argument("Engine: checkpoint every must be >= 1");
-  }
-  durable_ = options;
-  durable_scope_ = std::move(scope);
-  dring_.emplace(durable_.dir);
-  if (!durable_.resume) dring_->reset();
+void Engine::restore_staging() {
+  restore(fault_snap_);
+  audit_dropped_ = audit_bcast_dropped_ = audit_duped_ = audit_delayed_ = 0;
 }
 
-void Engine::engine_section_into(fault::DurableSection& s) const {
+void Engine::save_engine_section(std::vector<Word>& out,
+                                 std::size_t crashes) const {
   static_assert(std::has_unique_object_representations_v<Metrics>);
   static_assert(sizeof(Metrics) % sizeof(Word) == 0);
-  s.name = "__engine";
-  std::vector<Word>& out = s.payload;
-  out.clear();
   out.resize(sizeof(Metrics) / sizeof(Word));
   std::memcpy(out.data(), &metrics_, sizeof(Metrics));
-  out.push_back(crashes_recovered_);
-  // Delayed flushes straddle the round boundary; staging and the broadcast
-  // store do not (safe points are quiescent).
+  out.push_back(crashes);
+  // Delayed sends straddle the round boundary.
   out.push_back(delayed_.size());
   for (const Message& msg : delayed_) {
     out.push_back(msg.from);
@@ -373,12 +350,11 @@ void Engine::engine_section_into(fault::DurableSection& s) const {
   }
 }
 
-void Engine::install_engine_section(std::span<const Word> payload) {
-  fault::SectionReader in("checkpoint section '__engine'", payload);
+std::size_t Engine::install_engine_section(fault::SectionReader& in) {
   std::memcpy(static_cast<void*>(&metrics_),
               in.take_span(sizeof(Metrics) / sizeof(Word)).data(),
               sizeof(Metrics));
-  crashes_recovered_ = static_cast<std::size_t>(in.take());
+  const auto crashes = static_cast<std::size_t>(in.take());
   delayed_.clear();
   const Word ndelayed = in.take();
   for (Word i = 0; i < ndelayed; ++i) {
@@ -388,113 +364,41 @@ void Engine::install_engine_section(std::span<const Word> payload) {
     msg.word = in.take();
     delayed_.push_back(msg);
   }
-  in.finish();
+  return crashes;
 }
 
-void Engine::persist() {
-  // Scratch layout: provider sections, then one trailing "__engine"
-  // section; the buffers survive across persists (see mpc::Engine).
-  const std::size_t nprov =
-      registry_ != nullptr ? registry_->num_providers() : 0;
-  durable_scratch_.resize(nprov + 1);
-  if (registry_ != nullptr) registry_->save_sections_into(durable_scratch_);
-  engine_section_into(durable_scratch_[nprov]);
-  const std::size_t words =
-      dring_->save(metrics_.rounds, durable_scope_, durable_scratch_);
-  ++metrics_.disk_checkpoints_written;
-  metrics_.disk_checkpoint_words += words;
+std::size_t Engine::sent_by(const std::vector<Message>& msgs,
+                            std::size_t player) {
+  return static_cast<std::size_t>(std::count_if(
+      msgs.begin(), msgs.end(),
+      [player](const Message& msg) { return msg.from == player; }));
 }
 
-void Engine::checkpoint_boundary() {
-  // Park the pool before anything durable (or fatal) happens at this safe
-  // point — no worker may touch driver or provider state while a
-  // generation persists or a stop unwinds (see mpc::Engine's twin).
-  backend_->quiesce();
-  if (!dring_) return;
-  ++safe_points_;
-  const bool stop =
-      (durable_.stop_flag != nullptr &&
-       durable_.stop_flag->load(std::memory_order_relaxed)) ||
-      (durable_.stop_after_safe_points != 0 &&
-       safe_points_ >= durable_.stop_after_safe_points);
-  if (stop) {
-    persist();
-    throw fault::ResumableInterrupt(
-        "stopped at a safe point after flushing a final durable generation "
-        "(relaunch with --resume)");
+std::size_t Engine::staged_words(std::size_t player) const {
+  return sent_by(pending_, player) +
+         sent_by(bcast_staging_, player) * (n_ - 1);
+}
+
+void Engine::drop_flush(std::size_t player) {
+  if (audit_) {
+    audit_dropped_ += sent_by(pending_, player);
+    audit_bcast_dropped_ += sent_by(bcast_staging_, player);
   }
-  if (safe_points_ % durable_.every == 0) persist();
-}
-
-bool Engine::try_resume() {
-  if (!dring_ || !durable_.resume) return false;
-  std::optional<fault::DurableLoad> loaded;
-  if (registry_ != nullptr) {
-    loaded = registry_->load_from(*dring_, durable_scope_);
-  } else {
-    loaded = dring_->load(durable_scope_);
-  }
-  if (!loaded) return false;
-  const fault::DurableSection* engine = nullptr;
-  for (const fault::DurableSection& s : loaded->checkpoint.sections) {
-    if (s.name == "__engine") {
-      engine = &s;
-      break;
-    }
-  }
-  if (engine == nullptr) {
-    throw fault::CheckpointError(
-        "durable checkpoint restore: no __engine section");
-  }
-  install_engine_section(std::span<const Word>(engine->payload));
-  ++metrics_.resume_loads;
-  metrics_.disk_fallbacks += loaded->fallback ? 1 : 0;
-  if (fault_plan_ != nullptr) {
-    for (const fault::FaultEvent& ev : fault_plan_->events()) {
-      if (ev.round < metrics_.rounds) ++metrics_.faults_skipped_on_resume;
-    }
-  }
-  return true;
-}
-
-std::size_t Engine::staged_out_words(std::size_t player) const {
-  std::size_t w = 0;
-  for (const Message& msg : pending_) w += (msg.from == player);
-  for (const PlayerId p : pending_broadcasts_) {
-    if (p == player) w += n_ - 1;
-  }
-  return w;
-}
-
-std::size_t Engine::staged_p2p(std::size_t player) const {
-  std::size_t c = 0;
-  for (const Message& msg : pending_) c += (msg.from == player);
-  return c;
-}
-
-std::size_t Engine::staged_bcast(std::size_t player) const {
-  std::size_t c = 0;
-  for (const Message& msg : bcast_staging_) c += (msg.from == player);
-  return c;
-}
-
-void Engine::corrupt_player_staging(std::size_t player) {
-  std::erase_if(pending_, [player](const Message& msg) {
+  const auto from_player = [player](const Message& msg) {
     return msg.from == player;
-  });
+  };
+  std::erase_if(pending_, from_player);
   std::erase(pending_broadcasts_, static_cast<PlayerId>(player));
-  std::erase_if(bcast_staging_, [player](const Message& msg) {
-    return msg.from == player;
-  });
+  std::erase_if(bcast_staging_, from_player);
   if (integrity_) {
     csums_[player] = Fnv::kOffset;
     // The erased broadcasts were folded into the store digest at publish
     // time; bring the accumulator back in line with the surviving store.
-    resync_bcast_checksum();
+    bcast_csum_ = bcast_digest();
   }
 }
 
-std::size_t Engine::duplicate_player_staging(std::size_t player) {
+void Engine::duplicate_flush(std::size_t player) {
   // Duplicated point-to-point flush: every pair the player used is now
   // used twice, which is exactly a congestion breach of the 1-word/pair
   // budget — the model detects the fault on its own.
@@ -504,42 +408,32 @@ std::size_t Engine::duplicate_player_staging(std::size_t player) {
   }
   pending_.insert(pending_.end(), copy.begin(), copy.end());
   // The checksum accumulator covered only one copy.
-  if (integrity_) resync_player_checksum(player);
-  return copy.size();
+  if (integrity_) csums_[player] = player_digest(player);
+  audit_duped_ += copy.size();
 }
 
-std::size_t Engine::delay_player_staging(std::size_t player) {
-  std::size_t held = 0;
+void Engine::delay_flush(std::size_t player) {
   for (const Message& msg : pending_) {
     if (msg.from == player) {
       delayed_.push_back(msg);
-      ++held;
+      ++audit_delayed_;
     }
   }
   std::erase_if(pending_, [player](const Message& msg) {
     return msg.from == player;
   });
   if (integrity_) csums_[player] = Fnv::kOffset;
-  return held;
 }
 
-void Engine::resync_player_checksum(std::size_t player) {
+std::uint64_t Engine::player_digest(std::size_t player) const {
   std::uint64_t h = Fnv::kOffset;
   for (const Message& msg : pending_) {
     if (msg.from == player) h = Fnv::fold(h, msg.word);
   }
-  csums_[player] = h;
+  return h;
 }
 
-bool Engine::player_stream_ok(std::size_t player) const {
-  std::uint64_t h = Fnv::kOffset;
-  for (const Message& msg : pending_) {
-    if (msg.from == player) h = Fnv::fold(h, msg.word);
-  }
-  return h == csums_[player];
-}
-
-void Engine::verify_streams() {
+void Engine::verify_streams(const char* where, bool reset) {
   // One sweep over pending_ in send order, folding into per-player scratch
   // digests (touched-only, so a broadcast-heavy round costs O(messages)).
   for (const Message& msg : pending_) {
@@ -548,421 +442,94 @@ void Engine::verify_streams() {
     }
     csum_check_[msg.from] = Fnv::fold(csum_check_[msg.from], msg.word);
   }
-  for (const PlayerId p : csum_touched_) {
-    if (csum_check_[p] != csums_[p]) {
-      // Reset the scratch before throwing so a caught error leaves the
-      // engine consistent.
-      for (const PlayerId q : csum_touched_) csum_check_[q] = Fnv::kOffset;
-      csum_touched_.clear();
-      throw IntegrityError(
-          "player " + std::to_string(p) +
-          " flush fails its stream checksum in round " +
-          std::to_string(metrics_.rounds) +
-          ": corruption was not repaired before delivery");
-    }
-  }
+  const auto bad = std::find_if(
+      csum_touched_.begin(), csum_touched_.end(),
+      [&](PlayerId p) { return csum_check_[p] != csums_[p]; });
+  const bool ok = bad == csum_touched_.end();
+  const PlayerId bad_player = ok ? 0 : *bad;
+  // Reset the scratch before any throw, so a caught error leaves the
+  // engine consistent.
   for (const PlayerId p : csum_touched_) {
     csum_check_[p] = Fnv::kOffset;
     // pending_ delivers (and clears) this round; reset the accumulators.
-    csums_[p] = Fnv::kOffset;
+    if (ok && reset) csums_[p] = Fnv::kOffset;
   }
   csum_touched_.clear();
+  if (!ok) {
+    throw IntegrityError("player " + std::to_string(bad_player) +
+                         " flush fails its stream checksum " + where +
+                         std::to_string(metrics_.rounds) +
+                         ": corruption was not repaired before delivery");
+  }
 }
 
-std::size_t Engine::corrupt_player_words(std::size_t player,
-                                         std::size_t round,
-                                         std::size_t ordinal) {
+std::size_t Engine::corrupt_words(std::vector<Message>& msgs,
+                                  std::size_t player, std::size_t round,
+                                  std::size_t ordinal,
+                                  std::vector<Word>& retained) {
   // Retain the player's pristine words (aligned with its messages in
-  // pending_ order) before flipping — the sender keeps its flush until the
-  // receiver acks, so a detected mismatch can be served from retention.
-  retained_words_.clear();
-  for (const Message& msg : pending_) {
-    if (msg.from == player) retained_words_.push_back(msg.word);
+  // order) before flipping: the sender keeps its flush until the receiver
+  // acks, and the publisher's copy is the store's repair source.
+  retained.clear();
+  for (const Message& msg : msgs) {
+    if (msg.from == player) retained.push_back(msg.word);
   }
-  retained_from_ = player;
-  const std::size_t total = retained_words_.size();
-  if (total == 0) return 0;
-  // 1..3 distinct (word, bit) flips; deduplication guarantees the stream
-  // genuinely differs, so detected == injected whenever integrity is on.
-  const std::size_t flips = 1 + mix64(round, player, ordinal * 8 + 5) % 3;
-  std::size_t applied = 0;
-  for (std::size_t f = 0; f < flips; ++f) {
-    const std::size_t idx =
-        mix64(round, player * 8 + f, ordinal * 8 + 6) % total;
-    const std::size_t bit =
-        mix64(round, player * 8 + f, ordinal * 8 + 7) % 64;
-    bool fresh = true;
-    for (std::size_t g = 0; g < f; ++g) {
-      const std::size_t pidx =
-          mix64(round, player * 8 + g, ordinal * 8 + 6) % total;
-      const std::size_t pbit =
-          mix64(round, player * 8 + g, ordinal * 8 + 7) % 64;
-      if (pidx == idx && pbit == bit) {
-        fresh = false;
-        break;
-      }
-    }
-    if (!fresh) continue;
+  const auto flips =
+      fault::flip_positions(round, player, ordinal, retained.size());
+  for (const fault::BitFlip& at : flips) {
     std::size_t seen = 0;
-    for (Message& msg : pending_) {
-      if (msg.from != player) continue;
-      if (seen++ == idx) {
-        msg.word ^= Word{1} << bit;
-        ++applied;
+    for (Message& msg : msgs) {
+      if (msg.from == player && seen++ == at.word) {
+        msg.word ^= Word{1} << at.bit;
         break;
       }
     }
   }
-  return applied;
+  return flips.size();
 }
 
-std::size_t Engine::retransmit_retained(std::size_t player) {
-  // Serve the ack-retained pristine words back into the staged messages.
-  // The accumulator already holds the pristine digest (corruption touched
-  // only the words), so no resync is needed.
+std::size_t Engine::restore_words(std::vector<Message>& msgs,
+                                  std::size_t player,
+                                  const std::vector<Word>& retained) {
   std::size_t seen = 0;
-  for (Message& msg : pending_) {
-    if (msg.from == player) msg.word = retained_words_[seen++];
+  for (Message& msg : msgs) {
+    if (msg.from == player) msg.word = retained[seen++];
   }
   return seen;
 }
 
 // ---------------------------------------------------------------------------
 // Durable-store integrity: the broadcast store's digest, retained-copy
-// repair, scrub, and verified checkpoint generations (see DESIGN.md,
-// "Durable-store integrity & verified checkpoints").
+// repair, and the scrub (see DESIGN.md, "Durable-store integrity &
+// verified checkpoints").
 
-std::size_t Engine::corrupt_bcast_words(std::size_t player, std::size_t round,
-                                        std::size_t ordinal) {
-  // Retain the player's pristine broadcast words (aligned with its entries
-  // in bcast_staging_ order) before flipping — the publisher's copy is the
-  // store's repair source.
-  retained_bcast_words_.clear();
-  for (const Message& msg : bcast_staging_) {
-    if (msg.from == player) retained_bcast_words_.push_back(msg.word);
-  }
-  retained_bcast_from_ = player;
-  const std::size_t total = retained_bcast_words_.size();
-  if (total == 0) return 0;
-  // Same 1..3 deduplicated (word, bit) flips as every other injected
-  // corruption, so store_corruptions_detected == store_corruptions_injected
-  // whenever integrity is on.
-  const std::size_t flips = 1 + mix64(round, player, ordinal * 8 + 5) % 3;
-  std::size_t applied = 0;
-  for (std::size_t f = 0; f < flips; ++f) {
-    const std::size_t idx =
-        mix64(round, player * 8 + f, ordinal * 8 + 6) % total;
-    const std::size_t bit =
-        mix64(round, player * 8 + f, ordinal * 8 + 7) % 64;
-    bool fresh = true;
-    for (std::size_t g = 0; g < f; ++g) {
-      const std::size_t pidx =
-          mix64(round, player * 8 + g, ordinal * 8 + 6) % total;
-      const std::size_t pbit =
-          mix64(round, player * 8 + g, ordinal * 8 + 7) % 64;
-      if (pidx == idx && pbit == bit) {
-        fresh = false;
-        break;
-      }
-    }
-    if (!fresh) continue;
-    std::size_t seen = 0;
-    for (Message& msg : bcast_staging_) {
-      if (msg.from != player) continue;
-      if (seen++ == idx) {
-        msg.word ^= Word{1} << bit;
-        ++applied;
-        break;
-      }
-    }
-  }
-  return applied;
-}
-
-bool Engine::bcast_store_ok() const {
+std::uint64_t Engine::bcast_digest() const {
   std::uint64_t h = Fnv::kOffset;
   for (const Message& msg : bcast_staging_) h = Fnv::fold(h, msg.word);
-  return h == bcast_csum_;
+  return h;
 }
 
-std::size_t Engine::repair_retained_bcast() {
-  std::size_t seen = 0;
-  for (Message& msg : bcast_staging_) {
-    if (msg.from == retained_bcast_from_) {
-      msg.word = retained_bcast_words_[seen++];
-    }
-  }
-  return seen;
-}
-
-void Engine::resync_bcast_checksum() {
-  std::uint64_t h = Fnv::kOffset;
-  for (const Message& msg : bcast_staging_) h = Fnv::fold(h, msg.word);
-  bcast_csum_ = h;
+void Engine::verify_store(const char* where) const {
+  if (store_ok()) return;
+  throw IntegrityError("broadcast store (" +
+                       std::to_string(bcast_staging_.size()) +
+                       " words) fails its digest " + where +
+                       std::to_string(metrics_.rounds) +
+                       ": corruption was not repaired before delivery");
 }
 
 void Engine::scrub_pass() {
   // Proactive verification sweep over everything the player set retains:
   // the point-to-point streams, the broadcast store, and the checkpoint
   // generation ring.  Rot that escaped the repair path is fatal here
-  // exactly as it would be at delivery.  Unlike verify_streams() this
-  // sweep is non-destructive — the accumulators keep folding until the
-  // round actually delivers.  Checkpoint rot is left for restore-time
-  // fallback (repairing it here would mask the ring's retention contract).
-  for (const Message& msg : pending_) {
-    if (csum_check_[msg.from] == Fnv::kOffset) {
-      csum_touched_.push_back(msg.from);
-    }
-    csum_check_[msg.from] = Fnv::fold(csum_check_[msg.from], msg.word);
-  }
-  for (const PlayerId p : csum_touched_) {
-    if (csum_check_[p] != csums_[p]) {
-      for (const PlayerId q : csum_touched_) csum_check_[q] = Fnv::kOffset;
-      csum_touched_.clear();
-      throw IntegrityError(
-          "player " + std::to_string(p) +
-          " flush fails its stream checksum in scrub at round " +
-          std::to_string(metrics_.rounds) +
-          ": corruption was not repaired before delivery");
-    }
-  }
-  for (const PlayerId p : csum_touched_) csum_check_[p] = Fnv::kOffset;
-  csum_touched_.clear();
-  if (!bcast_store_ok()) {
-    throw IntegrityError(
-        "broadcast store (" + std::to_string(bcast_staging_.size()) +
-        " words) fails its digest in scrub at round " +
-        std::to_string(metrics_.rounds) +
-        ": corruption was not repaired before delivery");
-  }
-  if (registry_ != nullptr) {
-    for (std::size_t age = 0; age < registry_->generations_held(); ++age) {
-      (void)registry_->generation_ok(age);
-    }
-  }
+  // exactly as it would be at delivery, but the accumulators keep folding
+  // until the round actually delivers.  Checkpoint rot is left for
+  // restore-time fallback (repairing it here would mask the ring's
+  // retention contract).
+  verify_streams("in scrub at round ", false);
+  verify_store("in scrub at round ");
+  sup_.scrub_checkpoints();
   ++metrics_.scrub_passes;
-}
-
-void Engine::restore_registry(std::size_t player, std::size_t round,
-                              std::size_t& replays, std::size_t& fallbacks) {
-  if (registry_ == nullptr || !registry_->has_checkpoint()) return;
-  if (!registry_->generation_ok(0)) {
-    // The newest image rotted in retention.  Find the next older verified
-    // generation — the cluster's last good copy.
-    const std::size_t held = registry_->generations_held();
-    std::size_t age = 1;
-    while (age < held && !registry_->generation_ok(age)) ++age;
-    if (age == held) {
-      // Name the rotted providers so the operator knows which state lost
-      // its last good copy.
-      std::vector<std::string> seen;
-      std::string rotted;
-      for (std::size_t a = 0; a < held; ++a) {
-        for (std::string& name : registry_->rotted_providers(a)) {
-          if (std::find(seen.begin(), seen.end(), name) != seen.end()) {
-            continue;
-          }
-          rotted += rotted.empty() ? "" : ", ";
-          rotted += name;
-          seen.push_back(std::move(name));
-        }
-      }
-      throw fault::CheckpointError(
-          "player " + std::to_string(player) + ": all " +
-          std::to_string(held) +
-          " retained checkpoint generation(s) fail verification in round " +
-          std::to_string(round) + " (rotted provider(s): " + rotted +
-          "): the cluster is unrecoverable");
-    }
-    // Deterministic replay from the verified generation reconstructs
-    // exactly the live provider state (untouched since the capture at this
-    // round's entry); recapture it into the newest slot and charge the
-    // rounds between the two generation tags.
-    replays += round - registry_->generation_round(age);
-    ++fallbacks;
-    registry_->recapture_newest();
-  }
-  registry_->restore();
-}
-
-void Engine::exchange_faulty(std::span<const fault::FaultEvent> events) {
-  const std::size_t round = metrics_.rounds;
-  std::size_t ckpt_words = 0;
-  Snapshot ckpt;
-  if (fault_recover_) {
-    if (registry_ != nullptr) ckpt_words += registry_->capture(round);
-    ckpt = snapshot();
-    ckpt_words += ckpt.words();
-  }
-  std::size_t replays = 0;
-  std::size_t resent = 0;
-  std::size_t applied = 0;
-  std::size_t corrupted = 0;
-  std::size_t detected = 0;
-  std::size_t retransmitted = 0;
-  std::size_t store_corrupted = 0;
-  std::size_t store_detected = 0;
-  std::size_t store_repaired = 0;
-  std::size_t fallbacks = 0;
-  std::size_t ckpt_rot = 0;
-  crashed_scratch_.clear();
-  dark_scratch_.clear();
-  for (std::size_t ei = 0; ei < events.size(); ++ei) {
-    const fault::FaultEvent& ev = events[ei];
-    if (ev.machine >= n_) continue;
-    ++applied;
-    switch (ev.kind) {
-      case fault::FaultKind::kCrash:
-        if (fault_recover_) {
-          if (crashes_recovered_ >= fault_plan_->crash_budget) {
-            throw fault::FaultBudgetError(
-                "player " + std::to_string(ev.machine) +
-                " crashed in round " + std::to_string(round) +
-                ": crash budget of " +
-                std::to_string(fault_plan_->crash_budget) + " exhausted");
-          }
-          ++crashes_recovered_;
-          resent += staged_out_words(ev.machine);
-          corrupt_player_staging(ev.machine);
-          restore(ckpt);
-          restore_registry(ev.machine, round, replays, fallbacks);
-          ++replays;
-          crashed_scratch_.push_back(ev.machine);
-        } else {
-          if (audit_) {
-            audit_dropped_ += staged_p2p(ev.machine);
-            audit_bcast_dropped_ += staged_bcast(ev.machine);
-          }
-          corrupt_player_staging(ev.machine);
-          dark_scratch_.push_back(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kDropFlush:
-        if (fault_recover_) {
-          resent += staged_out_words(ev.machine);
-          corrupt_player_staging(ev.machine);
-          restore(ckpt);
-          ++replays;
-        } else {
-          if (audit_) {
-            audit_dropped_ += staged_p2p(ev.machine);
-            audit_bcast_dropped_ += staged_bcast(ev.machine);
-          }
-          corrupt_player_staging(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kDuplicateFlush:
-        if (!fault_recover_) {
-          audit_duped_ += duplicate_player_staging(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kDelayFlush:
-        if (fault_recover_) {
-          ++replays;
-        } else {
-          audit_delayed_ += delay_player_staging(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kCorruptPayload: {
-        // Silent in-transit corruption of the player's staged words; the
-        // pristine flush is retained sender-side first.
-        if (corrupt_player_words(ev.machine, round, ei) == 0) break;
-        ++corrupted;
-        if (!integrity_) break;  // undetected: propagates silently
-        if (player_stream_ok(ev.machine)) break;  // 2^-64 digest collision
-        ++detected;
-        std::size_t attempt = 1;
-        for (std::size_t j = 0; j < ei; ++j) {
-          attempt += events[j].kind == fault::FaultKind::kCorruptPayload &&
-                     events[j].machine == ev.machine;
-        }
-        if (attempt > fault_plan_->retransmit_budget) {
-          if (!fault_recover_) {
-            throw IntegrityError(
-                "player " + std::to_string(ev.machine) +
-                " flush corrupted in round " + std::to_string(round) +
-                ": retransmit budget of " +
-                std::to_string(fault_plan_->retransmit_budget) +
-                " exhausted and recovery is off");
-          }
-          restore(ckpt);
-          restore_registry(ev.machine, round, replays, fallbacks);
-          ++replays;
-          retransmitted += staged_p2p(ev.machine);
-        } else {
-          retransmitted += retransmit_retained(ev.machine);
-        }
-        break;
-      }
-      case fault::FaultKind::kCorruptStore: {
-        // Silent rot in the durable broadcast store — the one shared copy
-        // every player's broadcast_inbox() aliases.  The publisher retains
-        // its pristine words first (the store's repair source).
-        if (corrupt_bcast_words(ev.machine, round, ei) == 0) break;
-        ++store_corrupted;
-        if (!integrity_) break;  // undetected: every reader aliases rot
-        if (bcast_store_ok()) break;  // 2^-64 digest collision
-        ++store_detected;
-        // Same escalation contract as the wire: attempt ordinal = how many
-        // times this player's store entries have rotted this round.
-        std::size_t attempt = 1;
-        for (std::size_t j = 0; j < ei; ++j) {
-          attempt += events[j].kind == fault::FaultKind::kCorruptStore &&
-                     events[j].machine == ev.machine;
-        }
-        if (attempt > fault_plan_->retransmit_budget) {
-          if (!fault_recover_) {
-            throw IntegrityError(
-                "player " + std::to_string(ev.machine) +
-                " broadcast store corrupted in round " +
-                std::to_string(round) + ": retransmit budget of " +
-                std::to_string(fault_plan_->retransmit_budget) +
-                " exhausted and recovery is off");
-          }
-          restore(ckpt);
-          restore_registry(ev.machine, round, replays, fallbacks);
-          ++replays;
-        } else {
-          store_repaired += repair_retained_bcast();
-        }
-        break;
-      }
-      case fault::FaultKind::kCorruptCheckpoint: {
-        // Bit rot in a retained checkpoint image; nothing observable until
-        // the next restore verifies generations (see restore_registry).
-        // The first rot event of a round hits the newest generation,
-        // subsequent ones walk down the ring.
-        if (registry_ == nullptr || !registry_->has_checkpoint()) break;
-        registry_->corrupt_generation(
-            ckpt_rot % registry_->generations_held(), round, ev.machine, ei);
-        ++ckpt_rot;
-        break;
-      }
-    }
-  }
-  exchange_impl();
-  for (const std::size_t player : crashed_scratch_) {
-    // The recovered player re-fetches what it missed: its point-to-point
-    // inbox plus the round's broadcasts (stored once, re-read from there).
-    resent += inbox_[player].size() + bcast_inbox_.size();
-  }
-  for (const std::size_t player : dark_scratch_) {
-    // Dark player: point-to-point deliveries are lost. The broadcast store
-    // is durable (one shared copy), matching the mpc engine's payload
-    // store semantics.
-    inbox_[player].clear();
-  }
-  metrics_.rounds_replayed += replays;
-  metrics_.words_resent += resent;
-  metrics_.checkpoint_bytes += ckpt_words * sizeof(Word);
-  metrics_.faults_injected += applied;
-  metrics_.corruptions_injected += corrupted;
-  metrics_.corruptions_detected += detected;
-  metrics_.words_retransmitted += retransmitted;
-  metrics_.store_corruptions_injected += store_corrupted;
-  metrics_.store_corruptions_detected += store_detected;
-  metrics_.store_words_repaired += store_repaired;
-  metrics_.checkpoint_fallbacks += fallbacks;
 }
 
 void Engine::begin_audit() {
@@ -1003,10 +570,11 @@ void Engine::finish_audit() const {
 }
 
 void Engine::lenzen_batch_faults(std::size_t first_round, std::size_t batch) {
-  if (fault_plan_ == nullptr) return;
+  if (sup_.plan() == nullptr) return;
+  fault::CheckpointRegistry* registry = sup_.registry();
   bool captured = false;
   for (std::size_t r = first_round; r < first_round + 2; ++r) {
-    for (const fault::FaultEvent& ev : fault_plan_->events_at(r)) {
+    for (const fault::FaultEvent& ev : sup_.plan()->events_at(r)) {
       if (ev.machine >= n_) continue;
       ++metrics_.faults_injected;
       if (ev.kind == fault::FaultKind::kDuplicateFlush) continue;
@@ -1038,26 +606,19 @@ void Engine::lenzen_batch_faults(std::size_t first_round, std::size_t batch) {
       if (ev.kind == fault::FaultKind::kCorruptCheckpoint) {
         // Rot the newest retained generation; the damage (if any survives
         // the next capture) surfaces at the next verified restore.
-        if (registry_ != nullptr && registry_->has_checkpoint()) {
-          registry_->corrupt_generation(0, r, ev.machine, 0);
+        if (registry != nullptr && registry->has_checkpoint()) {
+          registry->corrupt_generation(0, r, ev.machine, 0);
         }
         continue;
       }
       if (ev.kind == fault::FaultKind::kCrash) {
-        if (crashes_recovered_ >= fault_plan_->crash_budget) {
-          throw fault::FaultBudgetError(
-              "player " + std::to_string(ev.machine) +
-              " crashed in round " + std::to_string(r) +
-              " (lenzen batch): crash budget of " +
-              std::to_string(fault_plan_->crash_budget) + " exhausted");
-        }
-        ++crashes_recovered_;
+        sup_.charge_crash(ev.machine, r, " (lenzen batch)");
       }
       if (!captured) {
         // The sender-side retained batch is the checkpoint here; the batch
         // structure is Lenzen's own retransmission unit.
         std::size_t ckpt = route_batch_words_[batch];
-        if (registry_ != nullptr) ckpt += registry_->capture(r);
+        if (registry != nullptr) ckpt += registry->capture(r);
         metrics_.checkpoint_bytes += ckpt * sizeof(Word);
         captured = true;
       }

@@ -22,21 +22,14 @@
 #define MPCG_CCLIQUE_ENGINE_H
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "fault/durable.h"
+#include "fault/supervisor.h"
 #include "mpc/backend.h"
 #include "util/fnv.h"
-
-namespace mpcg::fault {
-class FaultPlan;
-class CheckpointRegistry;
-struct FaultEvent;
-}  // namespace mpcg::fault
 
 namespace mpcg::cclique {
 
@@ -49,24 +42,10 @@ class CongestionError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// A detected payload corruption could not be repaired (the retransmit
-/// budget was exhausted and checkpoint recovery is off).  Mirrors
-/// mpc::IntegrityError.
-class IntegrityError : public std::runtime_error {
- public:
-  explicit IntegrityError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
-/// The runtime audit found a conservation violation: point-to-point or
-/// broadcast words that vanished or appeared between staging and delivery,
-/// or a Lenzen batch split that lost words.  An AuditError is a simulator
-/// bug, never an expected outcome of an injected fault.  Mirrors
-/// mpc::AuditError.
-class AuditError : public std::logic_error {
- public:
-  explicit AuditError(const std::string& what) : std::logic_error(what) {}
-};
+/// Integrity and audit failures: the one pair of types both engines throw
+/// (see fault/supervisor.h).
+using IntegrityError = fault::IntegrityError;
+using AuditError = fault::AuditError;
 
 struct Message {
   PlayerId from;
@@ -191,7 +170,8 @@ struct Metrics {
 
   // Fault-recovery accounting (all zero unless a FaultPlan is attached);
   // overhead only — the logical fields above stay bit-identical to the
-  // fault-free run when recovery is on. Same semantics as mpc::Metrics.
+  // fault-free run when recovery is on. The names match mpc::Metrics, so
+  // fault::add_tally charges either.
   std::size_t rounds_replayed = 0;
   std::size_t words_resent = 0;
   std::size_t checkpoint_bytes = 0;
@@ -217,7 +197,7 @@ struct Metrics {
   std::size_t scrub_passes = 0;
 
   // On-disk durability accounting (all zero unless durability is armed
-  // via set_durability). Same semantics as mpc::Metrics.
+  // via set_durability).
   std::size_t disk_checkpoints_written = 0;
   std::size_t disk_checkpoint_words = 0;
   std::size_t resume_loads = 0;
@@ -225,7 +205,7 @@ struct Metrics {
   std::size_t faults_skipped_on_resume = 0;
 };
 
-class Engine {
+class Engine final : private fault::RoundAdapter {
  public:
   /// `integrity` arms per-player FNV-1a checksums over the point-to-point
   /// words, folded incrementally at send() time and verified before every
@@ -314,8 +294,8 @@ class Engine {
     return route_words_materialized_;
   }
 
-  /// Opaque copy of the staged round (pending sends, broadcast queue) plus
-  /// Metrics; the cclique analogue of mpc::Engine::Snapshot.
+  /// Opaque copy of the staged round (pending sends, broadcast queue,
+  /// checksum accumulators) plus Metrics, taken at a round boundary.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -334,94 +314,129 @@ class Engine {
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);
 
-  /// Attaches a deterministic fault schedule (see
-  /// mpc::Engine::set_fault_plan for the full contract — semantics are
-  /// identical, with "machine" meaning player here). lenzen_route treats
-  /// every fault in a batch's two rounds as recovered: the scheme's batch
-  /// structure is its own retransmission unit.
+  /// Attaches a deterministic fault schedule and the driver's checkpoint
+  /// registry (see fault::RoundSupervisor::set_fault_plan; "machine" means
+  /// player here). lenzen_route treats every fault in a batch's two rounds
+  /// as recovered: the scheme's batch structure is its own retransmission
+  /// unit.
   void set_fault_plan(const fault::FaultPlan* plan,
                       fault::CheckpointRegistry* registry = nullptr,
-                      bool recover = true);
-
-  [[nodiscard]] std::size_t crashes_recovered() const noexcept {
-    return crashes_recovered_;
+                      bool recover = true) {
+    sup_.set_fault_plan(plan, registry, recover);
   }
 
-  /// Arms on-disk durability (see fault/durable.h and
-  /// mpc::Config::checkpoint_dir — semantics identical): a DurableRing is
-  /// opened (and wiped unless `options.resume`) under `options.dir`, and
-  /// `scope` becomes the configuration signature baked into every file.
-  /// No-op when `options.dir` is empty.
-  void set_durability(const fault::DurableOptions& options, std::string scope);
+  [[nodiscard]] std::size_t crashes_recovered() const noexcept {
+    return sup_.crashes_recovered();
+  }
 
-  /// Driver-announced safe point; mirrors mpc::Engine::checkpoint_boundary
-  /// (stop-flag polling, every-K persistence, ResumableInterrupt).
-  void checkpoint_boundary();
+  /// Arms on-disk durability (fault::RoundSupervisor::set_durability).
+  void set_durability(const fault::DurableOptions& options,
+                      std::string scope) {
+    sup_.set_durability(options, std::move(scope));
+  }
 
-  /// Resume attempt; mirrors mpc::Engine::try_resume (call once, after
-  /// registering providers and attaching any fault plan).
-  bool try_resume();
+  /// Driver-announced safe point: parks the pool, then polls the stop flag
+  /// and persists (fault::RoundSupervisor::checkpoint_boundary).
+  void checkpoint_boundary() {
+    backend_->quiesce();
+    sup_.checkpoint_boundary(*this, metrics_.rounds);
+  }
+
+  /// Resume attempt (call once, after registering providers and attaching
+  /// any fault plan); see fault::RoundSupervisor::try_resume.
+  bool try_resume() { return sup_.try_resume(*this); }
 
  private:
-  void persist();
-  void engine_section_into(fault::DurableSection& s) const;
-  void install_engine_section(std::span<const Word> payload);
-  void exchange_impl();
-  void exchange_faulty(std::span<const fault::FaultEvent> events);
-  [[nodiscard]] std::size_t staged_out_words(std::size_t player) const;
-  /// Point-to-point messages currently staged by `player`.
-  [[nodiscard]] std::size_t staged_p2p(std::size_t player) const;
-  /// Broadcast words currently staged by `player` (n-1 per broadcast).
-  [[nodiscard]] std::size_t staged_bcast(std::size_t player) const;
-  void corrupt_player_staging(std::size_t player);
-  /// Returns the point-to-point words appended (the duplicated copy).
-  std::size_t duplicate_player_staging(std::size_t player);
-  /// Returns the point-to-point words held back.
-  std::size_t delay_player_staging(std::size_t player);
-  /// Recomputes csums_[player] from the staged stream (after a fault path
-  /// mangled it behind the accumulator's back).
-  void resync_player_checksum(std::size_t player);
-  /// Does the player's staged point-to-point stream (in send order) match
-  /// its append-time checksum?
-  [[nodiscard]] bool player_stream_ok(std::size_t player) const;
-  /// The one integrity pass per exchange: folds every staged word into its
-  /// sender's scratch digest (one sweep over pending_, in send order) and
-  /// compares against the accumulators; throws IntegrityError on mismatch.
-  /// Resets the verified accumulators for the next round.
-  void verify_streams();
-  /// Flips 1..3 deterministic, deduplicated (word, bit) pairs in the
-  /// player's staged point-to-point words, retaining the pristine words
-  /// first.  Returns the number of bits flipped (0 if nothing staged).
-  std::size_t corrupt_player_words(std::size_t player, std::size_t round,
-                                   std::size_t ordinal);
-  /// Serves the retained pristine words back into pending_.  Returns the
-  /// word count re-delivered.
-  std::size_t retransmit_retained(std::size_t player);
-  /// kCorruptStore injection: retains the player's staged broadcast-store
-  /// words (the pristine repair copy) and flips 1..3 deduplicated
-  /// (word, bit) pairs among them.  Returns the bits flipped (0 when the
-  /// player has no staged broadcasts).
-  std::size_t corrupt_bcast_words(std::size_t player, std::size_t round,
-                                  std::size_t ordinal);
-  /// Does the broadcast store (all staged broadcast words, in staging
-  /// order) match its publish-time digest accumulator?
-  [[nodiscard]] bool bcast_store_ok() const;
-  /// Reinstates the retained pristine broadcast words (in-place store
-  /// repair).  Returns the word count restored.
-  std::size_t repair_retained_bcast();
-  /// Recomputes bcast_csum_ from the staged broadcast store (after a fault
-  /// path mutated it behind the accumulator's back).
-  void resync_bcast_checksum();
+  // fault::RoundAdapter hooks (see fault/supervisor.h). A player's flush is
+  // its point-to-point messages plus its broadcasts; the shared store is
+  // the broadcast store. Unrecovered drops, duplicates and delays record
+  // their word counts for the audit; restore_staging() zeroes them.
+  std::size_t snapshot_staging() override;
+  void restore_staging() override;
+  void drop_flush(std::size_t player) override;
+  void duplicate_flush(std::size_t player) override;
+  void delay_flush(std::size_t player) override;
+  std::size_t corrupt_stream(std::size_t player, std::size_t round,
+                             std::size_t ordinal) override {
+    return corrupt_words(pending_, player, round, ordinal, retained_words_);
+  }
+  [[nodiscard]] bool stream_ok(std::size_t player) const override {
+    return player_digest(player) == csums_[player];
+  }
+  /// The accumulator already holds the pristine digest (corruption
+  /// touched only the words), so no resync is needed.
+  std::size_t retransmit_stream(std::size_t player) override {
+    return restore_words(pending_, player, retained_words_);
+  }
+  /// Rots the player's staged broadcast words.
+  std::size_t corrupt_store(std::size_t player, std::size_t round,
+                            std::size_t ordinal) override {
+    retained_bcast_from_ = player;
+    return corrupt_words(bcast_staging_, player, round, ordinal,
+                         retained_bcast_words_);
+  }
+  /// The whole broadcast store against its publish-time accumulator.
+  [[nodiscard]] bool store_ok() const override {
+    return bcast_digest() == bcast_csum_;
+  }
+  std::size_t repair_store() override {
+    return restore_words(bcast_staging_, retained_bcast_from_,
+                         retained_bcast_words_);
+  }
+  [[nodiscard]] std::size_t staged_words(std::size_t player) const override;
+  /// A recovered player re-fetches its point-to-point inbox plus the
+  /// round's broadcasts (stored once, re-read from there).
+  [[nodiscard]] std::size_t received_words(
+      std::size_t player) const override {
+    return inbox_[player].size() + bcast_inbox_.size();
+  }
+  void deliver() override;
+  /// Point-to-point deliveries are lost; the broadcast store is durable
+  /// (one shared copy), like the mpc engine's payload store.
+  void clear_delivered(std::size_t player) override {
+    inbox_[player].clear();
+  }
+  /// Metrics, the crash count, and the delayed sends. Staging and the
+  /// broadcast store are not serialized: safe points are quiescent.
+  void save_engine_section(std::vector<Word>& out,
+                           std::size_t crashes) const override;
+  std::size_t install_engine_section(fault::SectionReader& in) override;
+  void account(const fault::FaultTally& tally) override {
+    fault::add_tally(metrics_, tally);
+  }
+
+  /// Entries of `msgs` sent by `player`.
+  static std::size_t sent_by(const std::vector<Message>& msgs,
+                             std::size_t player);
+  /// Retains `player`'s words in `msgs` (in order) into `retained`, then
+  /// flips the flip_positions bits among them. Returns the bits flipped.
+  static std::size_t corrupt_words(std::vector<Message>& msgs,
+                                   std::size_t player, std::size_t round,
+                                   std::size_t ordinal,
+                                   std::vector<Word>& retained);
+  /// Writes `retained` back over `player`'s words in `msgs`; returns the
+  /// count.
+  static std::size_t restore_words(std::vector<Message>& msgs,
+                                   std::size_t player,
+                                   const std::vector<Word>& retained);
+  /// FNV-1a over the player's staged point-to-point words, in send order.
+  [[nodiscard]] std::uint64_t player_digest(std::size_t player) const;
+  /// Folds every staged point-to-point word into its sender's scratch
+  /// digest (one sweep over pending_, in send order) and compares against
+  /// the accumulators; throws IntegrityError naming `where` on mismatch.
+  /// With `reset` (the delivery-time pass) the verified accumulators are
+  /// reset for the next round; the scrub leaves them folding.
+  void verify_streams(const char* where, bool reset);
+  /// Throws IntegrityError naming `where` when the broadcast store fails
+  /// its digest.
+  void verify_store(const char* where) const;
+  /// FNV-1a over every staged broadcast word, in staging order.
+  [[nodiscard]] std::uint64_t bcast_digest() const;
   /// The opt-in proactive scrub: re-digests the point-to-point streams and
   /// the broadcast store (non-destructively) and re-verifies every
   /// retained checkpoint generation.  Throws IntegrityError on rot that
   /// escaped repair; otherwise observable only as Metrics::scrub_passes.
   void scrub_pass();
-  /// Verified checkpoint restore with generation fallback; mirrors
-  /// mpc::Engine::restore_registry (CheckpointError when every generation
-  /// is bad, naming `player` and `round`).
-  void restore_registry(std::size_t player, std::size_t round,
-                        std::size_t& replays, std::size_t& fallbacks);
   void begin_audit();
   /// Closes the conservation equations for the round just delivered.
   void finish_audit() const;
@@ -479,23 +494,14 @@ class Engine {
   /// Backs the legacy vector<Message> lenzen_route wrapper.
   RouteStream route_restage_;
 
-  // Fault machinery (see set_fault_plan). Pointers are borrowed.
-  const fault::FaultPlan* fault_plan_ = nullptr;
-  fault::CheckpointRegistry* registry_ = nullptr;
-  bool fault_recover_ = true;
-  std::size_t crashes_recovered_ = 0;
-  // On-disk durability (see set_durability).
-  fault::DurableOptions durable_;
-  std::string durable_scope_;
-  std::optional<fault::DurableRing> dring_;
-  std::size_t safe_points_ = 0;
-  /// Serialization scratch recycled across persists (see mpc::Engine).
-  std::vector<fault::DurableSection> durable_scratch_;
+  // Fault injection, recovery and durability: the supervisor drives the
+  // RoundAdapter hooks above.
+  fault::RoundSupervisor sup_;
+  /// The staging copy a faulty round rolls back to (snapshot_staging()).
+  Snapshot fault_snap_;
   /// Point-to-point sends held back by a non-recovered kDelayFlush,
   /// re-staged at the next exchange.
   std::vector<Message> delayed_;
-  std::vector<std::size_t> crashed_scratch_;
-  std::vector<std::size_t> dark_scratch_;
 
   // Integrity layer (sized n_ only when integrity_ is on).
   /// Per-player FNV-1a accumulator over point-to-point words, in send
@@ -504,18 +510,16 @@ class Engine {
   /// verify_streams scratch: per-player recomputed digest + touched list.
   std::vector<std::uint64_t> csum_check_;
   std::vector<PlayerId> csum_touched_;
-  /// Pristine words retained by corrupt_player_words, aligned with the
-  /// player's staged messages in pending_ order; valid for retained_from_
-  /// within one exchange_faulty.
+  /// Pristine words retained by corrupt_stream, aligned with the player's
+  /// staged messages in pending_ order; valid within one faulty round.
   std::vector<Word> retained_words_;
-  std::size_t retained_from_ = static_cast<std::size_t>(-1);
   /// FNV-1a accumulator over the broadcast store (all staged broadcast
   /// words in staging order), folded at broadcast() time — the store half
   /// of the integrity layer; reset when the staging ships.
   std::uint64_t bcast_csum_ = Fnv::kOffset;
-  /// Pristine broadcast words retained by corrupt_bcast_words, aligned
-  /// with the player's entries in bcast_staging_ order; valid for
-  /// retained_bcast_from_ within one exchange_faulty.
+  /// Pristine broadcast words retained by corrupt_store, aligned with the
+  /// player's entries in bcast_staging_ order; valid for
+  /// retained_bcast_from_ within one faulty round.
   std::vector<Word> retained_bcast_words_;
   std::size_t retained_bcast_from_ = static_cast<std::size_t>(-1);
 

@@ -92,29 +92,23 @@ class MatchingMpcRun {
     cfg.integrity = o_.integrity;
     cfg.audit = o_.audit;
     cfg.scrub_interval = o_.scrub_interval;
-    const bool durable = o_.durable.enabled();
-    if (durable) {
-      cfg.checkpoint_dir = o_.durable.dir;
-      cfg.checkpoint_every = o_.durable.every;
-      // The scope is the configuration signature (see mis_mpc.cpp): a
-      // checkpoint written by any differently-shaped run reads as "no
-      // checkpoint" and resume starts fresh. The real-valued knobs enter
-      // bit-exactly — any drift in eps or beta changes every weight.
-      cfg.checkpoint_scope =
-          "matching:" + std::to_string(n_) + ":" +
-          std::to_string(g.num_edges()) + ":" + std::to_string(machines_) +
-          ":" + std::to_string(words_) + ":" + std::to_string(o_.seed) +
-          ":" + std::to_string(o_.threshold_seed) + ":" +
-          std::to_string(std::bit_cast<std::uint64_t>(o_.eps)) + ":" +
-          std::to_string(std::bit_cast<std::uint64_t>(o_.beta)) + ":" +
-          std::to_string(o_.tail_degree_switch) + ":" +
-          std::to_string(static_cast<int>(o_.paper_iteration_schedule)) +
-          ":" + std::to_string(static_cast<int>(o_.use_random_thresholds));
-      cfg.resume = o_.durable.resume;
-      cfg.stop_flag = o_.durable.stop_flag;
-      cfg.stop_after_safe_points = o_.durable.stop_after_safe_points;
-    }
     engine_.emplace(cfg);
+    const bool durable = o_.durable.enabled();
+    // The scope is the configuration signature (see mis_mpc.cpp): a
+    // checkpoint written by any differently-shaped run reads as "no
+    // checkpoint" and resume starts fresh. The real-valued knobs enter
+    // bit-exactly — any drift in eps or beta changes every weight.
+    engine_->set_durability(
+        o_.durable,
+        "matching:" + std::to_string(n_) + ":" +
+            std::to_string(g.num_edges()) + ":" + std::to_string(machines_) +
+            ":" + std::to_string(words_) + ":" + std::to_string(o_.seed) +
+            ":" + std::to_string(o_.threshold_seed) + ":" +
+            std::to_string(std::bit_cast<std::uint64_t>(o_.eps)) + ":" +
+            std::to_string(std::bit_cast<std::uint64_t>(o_.beta)) + ":" +
+            std::to_string(o_.tail_degree_switch) + ":" +
+            std::to_string(static_cast<int>(o_.paper_iteration_schedule)) +
+            ":" + std::to_string(static_cast<int>(o_.use_random_thresholds)));
     for (std::size_t i = 0; i < machines_; ++i) {
       engine_->note_storage(i, shard_words[i] + fixed_words);
     }

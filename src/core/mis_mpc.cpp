@@ -84,23 +84,17 @@ class MisMpcRun {
     cfg.integrity = options.integrity;
     cfg.audit = options.audit;
     cfg.scrub_interval = options.scrub_interval;
+    engine_.emplace(cfg);
     const bool durable = options.durable.enabled();
-    if (durable) {
-      cfg.checkpoint_dir = options.durable.dir;
-      cfg.checkpoint_every = options.durable.every;
-      // The scope is the configuration signature: a checkpoint written by
-      // any differently-shaped run (including a reprovisioned rescale)
-      // reads as "no checkpoint" and resume starts fresh.
-      cfg.checkpoint_scope = "mis:" + std::to_string(n_) + ":" +
+    // The scope is the configuration signature: a checkpoint written by
+    // any differently-shaped run (including a reprovisioned rescale) reads
+    // as "no checkpoint" and resume starts fresh.
+    engine_->set_durability(
+        options.durable, "mis:" + std::to_string(n_) + ":" +
                              std::to_string(g.num_edges()) + ":" +
                              std::to_string(machines_) + ":" +
                              std::to_string(words_) + ":" +
-                             std::to_string(options.seed);
-      cfg.resume = options.durable.resume;
-      cfg.stop_flag = options.durable.stop_flag;
-      cfg.stop_after_safe_points = options.durable.stop_after_safe_points;
-    }
-    engine_.emplace(cfg);
+                             std::to_string(options.seed));
     for (std::size_t i = 0; i < machines_; ++i) {
       engine_->note_storage(i, shard_words[i] + fixed_words);
     }

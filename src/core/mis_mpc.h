@@ -84,7 +84,7 @@ struct MisMpcOptions {
   /// never; requires integrity — see mpc::Config::scrub_interval).
   std::size_t scrub_interval = 0;
   /// On-disk checkpoint persistence and resume (see fault/durable.h and
-  /// mpc::Config::checkpoint_dir). Off while `durable.dir` is empty.
+  /// mpc::Engine::set_durability). Off while `durable.dir` is empty.
   fault::DurableOptions durable;
 };
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "fault/supervisor.h"
 #include "util/fnv.h"
-#include "util/rng.h"
 
 namespace mpcg::fault {
 
@@ -152,34 +152,10 @@ std::size_t CheckpointRegistry::corrupt_generation(std::size_t age,
                                                    std::uint64_t b,
                                                    std::uint64_t c) {
   Generation& g = gen(age);
-  if (g.buffer.empty()) return 0;
-  // Same flip pattern as the wire/store corruptions: 1–3 deduplicated
-  // (word, bit) positions drawn statelessly from mix64.
-  const std::size_t flips = 1 + mix64(a, b, c * 8 + 5) % 3;
-  std::size_t idxs[3];
-  std::size_t bits[3];
-  std::size_t applied = 0;
-  for (std::size_t f = 0; f < flips; ++f) {
-    const std::size_t idx = mix64(a, b * 8 + f, c * 8 + 6) % g.buffer.size();
-    const std::size_t bit = mix64(a, b * 8 + f, c * 8 + 7) % 64;
-    bool dup = false;
-    for (std::size_t s = 0; s < applied; ++s) {
-      dup |= idxs[s] == idx && bits[s] == bit;
-    }
-    if (dup) continue;
-    idxs[applied] = idx;
-    bits[applied] = bit;
-    ++applied;
-    g.buffer[idx] ^= Word{1} << bit;
-  }
-  return applied;
-}
-
-std::vector<DurableSection> CheckpointRegistry::save_sections() {
-  std::vector<DurableSection> sections;
-  sections.resize(providers_.size());
-  save_sections_into(sections);
-  return sections;
+  // Same flip pattern as the wire and store corruptions.
+  const auto flips = flip_positions(a, b, c, g.buffer.size());
+  for (const BitFlip& at : flips) g.buffer[at.word] ^= Word{1} << at.bit;
+  return flips.size();
 }
 
 void CheckpointRegistry::save_sections_into(std::vector<DurableSection>& out) {
@@ -208,14 +184,6 @@ void CheckpointRegistry::install_sections(
     }
     restore_provider(p, found->payload);
   }
-}
-
-std::size_t CheckpointRegistry::save_to(DurableRing& ring, std::uint64_t round,
-                                        const std::string& scope,
-                                        std::vector<DurableSection> extra) {
-  std::vector<DurableSection> sections = save_sections();
-  for (DurableSection& s : extra) sections.push_back(std::move(s));
-  return ring.save(round, scope, std::move(sections));
 }
 
 std::optional<DurableLoad> CheckpointRegistry::load_from(

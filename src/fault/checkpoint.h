@@ -3,14 +3,15 @@
 // The engine's Snapshot covers the *message plane*; the driver's logical
 // state (y values, freeze levels, the active frontier, ...) lives outside
 // the engine and must be captured alongside it for a crash rollback to be
-// sound.  Drivers register named save/restore callbacks here; the engine
-// calls capture() just before applying a fault event and restore() when a
-// crash forces a round replay.
+// sound.  Drivers register named save/restore callbacks here; the round
+// supervisor (fault/supervisor.h) calls capture() just before applying a
+// fault event and restore() when a crash forces a round replay.
 //
 // Checkpoints are materialized copy-on-fault: because the FaultPlan is
-// deterministic and known up front, the engine only asks for a capture at
-// rounds that actually carry a fault event, so fault-free rounds pay one
-// branch and zero copies (see DESIGN.md, "Fault model & recovery").
+// deterministic and known up front, the supervisor only asks for a
+// capture at rounds that actually carry a fault event, so fault-free
+// rounds pay one branch and zero copies (see DESIGN.md, "Fault model &
+// recovery").
 //
 // Captures after the first are charged *incrementally*: the registry keeps
 // the newest generation's per-provider images and diffs the fresh
@@ -50,8 +51,8 @@ namespace mpcg::fault {
 
 /// Thrown when a checkpoint restore finds no generation that passes its
 /// per-provider checksums — every retained image has rotted and the
-/// cluster is unrecoverable.  Engines decorate the message with the
-/// machine and round of the fault that forced the restore.
+/// cluster is unrecoverable.  The round supervisor decorates the message
+/// with the machine and round of the fault that forced the restore.
 class CheckpointError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -103,31 +104,28 @@ class CheckpointRegistry {
   [[nodiscard]] bool generation_ok(std::size_t age) const;
 
   /// Deterministic bit rot (FaultKind::kCorruptCheckpoint): flips 1–3
-  /// deduplicated bits in generation `age`'s image, positions drawn from
-  /// mix64(a, b, c·) like every other injected corruption.  Returns the
-  /// number of bits flipped (0 when the image is empty).
+  /// deduplicated bits in generation `age`'s image at
+  /// flip_positions(a, b, c, ·), like every other injected corruption.
+  /// Returns the number of bits flipped (0 when the image is empty).
   std::size_t corrupt_generation(std::size_t age, std::uint64_t a,
                                  std::uint64_t b, std::uint64_t c);
 
   /// Re-serializes the live providers into the newest generation in place
-  /// (round tag kept), recomputing its checksums.  This is how an engine
-  /// repairs a rotted newest image after verifying an older generation:
+  /// (round tag kept), recomputing its checksums.  This is how the round
+  /// supervisor repairs a rotted newest image after verifying an older generation:
   /// deterministic replay from that older generation would reconstruct
   /// exactly the live state, so the live state *is* the newest image.
   void recapture_newest();
 
-  /// Fresh-serializes every provider into one named DurableSection each
-  /// (registration order).  Independent of capture(): it touches neither
+  /// Fresh-serializes every provider into one named DurableSection each,
+  /// into a caller-owned scratch vector: the first num_providers() entries
+  /// are (re)filled in registration order, reusing their payload capacity,
+  /// and entries beyond that (e.g. the trailing "__engine" section) are
+  /// left untouched, so steady-state persists allocate nothing on the
+  /// serialization side.  Independent of capture(): it touches neither
   /// the generation ring nor the capture/delta counters, so persisting to
-  /// disk never perturbs the in-memory checkpoint accounting that PR 6–8
+  /// disk never perturbs the in-memory checkpoint accounting the fault
   /// tests pin.
-  [[nodiscard]] std::vector<DurableSection> save_sections();
-
-  /// save_sections() into a caller-owned scratch vector: the first
-  /// num_providers() entries are (re)filled in registration order, reusing
-  /// their payload capacity, and entries beyond that (e.g. an engine's
-  /// trailing "__engine" section) are left untouched. Steady-state
-  /// persists therefore allocate nothing on the serialization side.
   void save_sections_into(std::vector<DurableSection>& out);
 
   /// Reinstates every registered provider from the same-named section.
@@ -136,13 +134,6 @@ class CheckpointRegistry {
   /// file was written by a differently-shaped run and throws
   /// CheckpointError naming the missing provider.
   void install_sections(std::span<const DurableSection> sections);
-
-  /// Persists one durable generation: save_sections() plus `extra`
-  /// (engine-owned sections), written through `ring`.  Returns the words
-  /// written to disk.
-  std::size_t save_to(DurableRing& ring, std::uint64_t round,
-                      const std::string& scope,
-                      std::vector<DurableSection> extra);
 
   /// Loads the newest verified on-disk generation for `scope` and installs
   /// the provider sections.  Returns the full load (so the caller can
@@ -225,7 +216,6 @@ class CheckpointRegistry {
   [[nodiscard]] Generation& gen(std::size_t age) {
     return ring_[ring_.size() - 1 - age];
   }
-  void serialize_into(Generation& g);
   /// Runs `p`'s restore over `words` and checks it read all of them.
   static void restore_provider(Provider& p, std::span<const Word> words);
 

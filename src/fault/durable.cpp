@@ -338,10 +338,12 @@ std::size_t DurableRing::save(std::uint64_t round, const std::string& scope,
 }
 
 std::optional<DurableLoad> DurableRing::load(const std::string& scope) const {
-  std::optional<DurableCheckpoint> best;
   std::string errors;
   std::size_t existing = 0;
   std::size_t failed = 0;
+  // Newest first: the first generation that verifies for this scope is
+  // the one to load, and it is a fallback only when a newer one failed.
+  // Older generations are never read.
   for (auto seq = live_.rbegin(); seq != live_.rend(); ++seq) {
     const std::string path = generation_path(*seq);
     if (!std::filesystem::exists(path)) continue;
@@ -349,18 +351,12 @@ std::optional<DurableLoad> DurableRing::load(const std::string& scope) const {
     try {
       DurableCheckpoint ckpt = read_checkpoint_file(path);
       if (ckpt.scope != scope) continue;  // another run's leftovers
-      if (!best || ckpt.seq > best->seq) best = std::move(ckpt);
+      return DurableLoad{std::move(ckpt), failed != 0};
     } catch (const CheckpointError& e) {
       ++failed;
       errors += errors.empty() ? "" : "; ";
       errors += e.what();
     }
-  }
-  if (best) {
-    DurableLoad loaded;
-    loaded.checkpoint = std::move(*best);
-    loaded.fallback = failed != 0;
-    return loaded;
   }
   if (failed != 0) {
     throw CheckpointError(

@@ -146,8 +146,8 @@ std::size_t write_checkpoint_file(const std::string& path, std::uint64_t seq,
 /// Result of DurableRing::load.
 struct DurableLoad {
   DurableCheckpoint checkpoint;
-  /// True when a generation file existed but failed verification and an
-  /// older verified generation was used instead.
+  /// True when a newer generation failed verification and this older
+  /// verified one was loaded instead.
   bool fallback = false;
 };
 

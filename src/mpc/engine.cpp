@@ -55,7 +55,9 @@ inline void append_run_to(std::vector<Word>& in, const Word* src,
 
 }  // namespace
 
-Engine::Engine(Config config) : config_(config) {
+Engine::Engine(Config config)
+    : config_(config),
+      sup_(config.num_machines, config.integrity, "machine", "payload store") {
   if (config_.num_machines == 0) {
     throw std::invalid_argument("Engine: need at least one machine");
   }
@@ -69,18 +71,7 @@ Engine::Engine(Config config) : config_(config) {
   inbox_.assign(m, {});
   in_segs_.assign(m, {});
   recv_total_.assign(m, 0);
-  inbox_cache_.assign(m, {});
-  inbox_cache_valid_.assign(m, 0);
   recv_count_.assign(m, 0);
-  if (!config_.checkpoint_dir.empty()) {
-    if (config_.checkpoint_every == 0) {
-      throw std::invalid_argument("Engine: checkpoint_every must be >= 1");
-    }
-    dring_.emplace(config_.checkpoint_dir);
-    // A fresh durable run must never let a previous run's same-scope files
-    // outrank its own checkpoints by sequence number.
-    if (!config_.resume) dring_->reset();
-  }
 }
 
 void Outbox::throw_bad_dest(std::size_t to) const {
@@ -170,10 +161,7 @@ void Engine::check_budget(std::size_t machine, std::size_t words,
 
 void Engine::drop_last_round() {
   if (!shared_round_) return;
-  for (const std::size_t t : seg_touched_) {
-    in_segs_[t].clear();
-    inbox_cache_valid_[t] = 0;
-  }
+  for (const std::size_t t : seg_touched_) in_segs_[t].clear();
   seg_touched_.clear();
   delivered_payloads_.clear();
   shared_round_ = false;
@@ -182,19 +170,20 @@ void Engine::drop_last_round() {
 void Engine::exchange() {
   if (!delayed_.empty()) inject_delayed();
   if (config_.audit) begin_audit();
-  if (fault_plan_ != nullptr) {
+  if (sup_.plan() != nullptr) {
     // Round index = rounds completed so far; events scheduled for it fire
     // against this exchange's staged traffic.
-    const auto events = fault_plan_->events_at(metrics_.rounds);
+    const auto events = sup_.plan()->events_at(metrics_.rounds);
     if (!events.empty()) {
-      exchange_faulty(events);
+      sup_.run_faulty_round(*this, events, metrics_.rounds);
+      fault_snap_ = Snapshot{};  // release the rollback copy
       return;
     }
   }
-  exchange_impl();
+  deliver();
 }
 
-void Engine::exchange_impl() {
+void Engine::deliver() {
   const std::size_t m = config_.num_machines;
   // The one integrity branch per flush: every sender's staged stream is
   // verified against its append-time checksum — and every staged payload
@@ -214,7 +203,7 @@ void Engine::exchange_impl() {
   // PayloadId), only the inbox deliveries are lost. Unreachable without a
   // fault plan: drivers never stage without pushing.
   if (shared_sends_.empty() &&
-      (fault_plan_ == nullptr || staged_payloads_.empty())) {
+      (sup_.plan() == nullptr || staged_payloads_.empty())) {
     // Payloads staged but never pushed die here, per the lifetime contract.
     staged_payloads_.clear();
     staged_digests_.clear();
@@ -604,21 +593,6 @@ InboxView Engine::inbox_view(std::size_t machine) const {
   return v;
 }
 
-const std::vector<Word>& Engine::inbox(std::size_t machine) const {
-  check_machine(machine);
-  if (!shared_round_ || in_segs_[machine].empty()) return inbox_[machine];
-  if (!inbox_cache_valid_[machine]) {
-    auto& cache = inbox_cache_[machine];
-    cache.clear();
-    cache.reserve(recv_total_[machine]);
-    for (const auto seg : in_segs_[machine]) {
-      cache.insert(cache.end(), seg.begin(), seg.end());
-    }
-    inbox_cache_valid_[machine] = 1;
-  }
-  return inbox_cache_[machine];
-}
-
 void Engine::note_storage(std::size_t machine, std::size_t words) {
   metrics_.peak_storage_words = std::max(metrics_.peak_storage_words, words);
   check_budget(machine, words, "stores");
@@ -672,41 +646,35 @@ void Engine::restore(const Snapshot& snap) {
   metrics_ = snap.metrics;
 }
 
-void Engine::set_fault_plan(const fault::FaultPlan* plan,
-                            fault::CheckpointRegistry* registry,
-                            bool recover) {
-  // The registry is kept even with a null/empty plan: durability persists
-  // provider state through it without any fault injection attached.
-  fault_plan_ = (plan != nullptr && !plan->empty()) ? plan : nullptr;
-  registry_ = registry;
-  fault_recover_ = recover;
+// ---------------------------------------------------------------------------
+// fault::RoundAdapter hooks: the staging side of fault injection and the
+// "__engine" durable section (see fault/supervisor.h).
+
+std::size_t Engine::snapshot_staging() {
+  fault_snap_ = snapshot();
+  return fault_snap_.words();
 }
 
-// ---------------------------------------------------------------------------
-// On-disk durability (Config::checkpoint_dir; see fault/durable.h).
+void Engine::restore_staging() {
+  restore(fault_snap_);
+  audit_dropped_ = audit_duped_ = audit_delayed_ = 0;
+}
 
-void Engine::engine_section_into(fault::DurableSection& s) const {
+void Engine::save_engine_section(std::vector<Word>& out,
+                                 std::size_t crashes) const {
   // Metrics is raw-copyable by construction (all std::size_t counters);
   // the guard keeps a future padded/non-trivial field from silently
   // breaking the on-disk format.
   static_assert(std::has_unique_object_representations_v<Metrics>);
   static_assert(sizeof(Metrics) % sizeof(Word) == 0);
-  s.name = "__engine";
-  std::vector<Word>& out = s.payload;
-  const std::size_t mw = sizeof(Metrics) / sizeof(Word);
-  out.clear();
-  out.resize(mw);
+  out.resize(sizeof(Metrics) / sizeof(Word));
   std::memcpy(out.data(), &metrics_, sizeof(Metrics));
   // Two reserved zero words where format version 1 kept staging-path
   // state: the section keeps its length, so Metrics::disk_checkpoint_words
   // (which the determinism pins compare) is the same as under version 1.
   out.push_back(0);
   out.push_back(0);
-  out.push_back(crashes_recovered_);
-  // Delayed flushes straddle the round boundary (a kDelayFlush holds a
-  // flush back into the *next* round), so they are part of the safe-point
-  // state.  Staging and the payload store are not: safe points are
-  // quiescent, and a fresh process's empty staging is exactly right.
+  out.push_back(crashes);
   out.push_back(delayed_.size());
   for (const DelayedFlush& d : delayed_) {
     out.push_back(d.from);
@@ -719,8 +687,7 @@ void Engine::engine_section_into(fault::DurableSection& s) const {
   }
 }
 
-void Engine::install_engine_section(std::span<const Word> payload) {
-  fault::SectionReader in("checkpoint section '__engine'", payload);
+std::size_t Engine::install_engine_section(fault::SectionReader& in) {
   std::memcpy(static_cast<void*>(&metrics_),
               in.take_span(sizeof(Metrics) / sizeof(Word)).data(),
               sizeof(Metrics));
@@ -729,7 +696,7 @@ void Engine::install_engine_section(std::span<const Word> payload) {
         "durable checkpoint restore: non-zero reserved word in __engine "
         "section");
   }
-  crashes_recovered_ = static_cast<std::size_t>(in.take());
+  const auto crashes = static_cast<std::size_t>(in.take());
   delayed_.clear();
   const Word ndelayed = in.take();
   for (Word i = 0; i < ndelayed; ++i) {
@@ -746,84 +713,10 @@ void Engine::install_engine_section(std::span<const Word> payload) {
     d.words.assign(words.begin(), words.end());
     delayed_.push_back(std::move(d));
   }
-  in.finish();
+  return crashes;
 }
 
-void Engine::persist() {
-  // Scratch layout: provider sections, then one trailing "__engine"
-  // section. The buffers survive across persists, so the steady state
-  // reserializes in place instead of reallocating the provider state.
-  const std::size_t nprov =
-      registry_ != nullptr ? registry_->num_providers() : 0;
-  durable_scratch_.resize(nprov + 1);
-  if (registry_ != nullptr) registry_->save_sections_into(durable_scratch_);
-  engine_section_into(durable_scratch_[nprov]);
-  const std::size_t words = dring_->save(
-      metrics_.rounds, config_.checkpoint_scope, durable_scratch_);
-  ++metrics_.disk_checkpoints_written;
-  metrics_.disk_checkpoint_words += words;
-}
-
-void Engine::checkpoint_boundary() {
-  // Park the pool before anything durable (or fatal) can happen at this
-  // safe point: no worker may touch engine or provider state while a
-  // generation is persisted or a stop unwinds. No-op on the sequential
-  // backend, and cheap on the parallel one (run_chunks is blocking, so
-  // workers are already idle — this waits until they are *parked*).
-  backend_->quiesce();
-  if (!dring_) return;
-  ++safe_points_;
-  const bool stop =
-      (config_.stop_flag != nullptr &&
-       config_.stop_flag->load(std::memory_order_relaxed)) ||
-      (config_.stop_after_safe_points != 0 &&
-       safe_points_ >= config_.stop_after_safe_points);
-  if (stop) {
-    // Graceful stop: the in-flight round already finished (we are at a
-    // driver loop boundary) — flush one final generation and unwind.
-    persist();
-    throw fault::ResumableInterrupt(
-        "stopped at a safe point after flushing a final durable generation "
-        "(relaunch with --resume)");
-  }
-  if (safe_points_ % config_.checkpoint_every == 0) persist();
-}
-
-bool Engine::try_resume() {
-  if (!dring_ || !config_.resume) return false;
-  std::optional<fault::DurableLoad> loaded;
-  if (registry_ != nullptr) {
-    loaded = registry_->load_from(*dring_, config_.checkpoint_scope);
-  } else {
-    loaded = dring_->load(config_.checkpoint_scope);
-  }
-  if (!loaded) return false;  // nothing on disk (or another run's): fresh
-  const fault::DurableSection* engine = nullptr;
-  for (const fault::DurableSection& s : loaded->checkpoint.sections) {
-    if (s.name == "__engine") {
-      engine = &s;
-      break;
-    }
-  }
-  if (engine == nullptr) {
-    throw fault::CheckpointError(
-        "durable checkpoint restore: no __engine section");
-  }
-  install_engine_section(std::span<const Word>(engine->payload));
-  ++metrics_.resume_loads;
-  metrics_.disk_fallbacks += loaded->fallback ? 1 : 0;
-  // Plan events scheduled before the resume point already fired (and were
-  // absorbed) before this checkpoint was persisted: the resumed process
-  // starts at round metrics_.rounds and never consults them again.
-  if (fault_plan_ != nullptr) {
-    for (const fault::FaultEvent& ev : fault_plan_->events()) {
-      if (ev.round < metrics_.rounds) ++metrics_.faults_skipped_on_resume;
-    }
-  }
-  return true;
-}
-
-std::size_t Engine::staged_out_words(std::size_t machine) const {
+std::size_t Engine::staged_words(std::size_t machine) const {
   std::size_t w = out_words_[machine].size();
   for (const SharedSend& s : shared_sends_) {
     if (s.from == machine) w += staged_payloads_[s.payload].size();
@@ -835,14 +728,15 @@ std::size_t Engine::received_words(std::size_t machine) const {
   return shared_round_ ? recv_total_[machine] : recv_count_[machine];
 }
 
-void Engine::corrupt_machine_staging(std::size_t machine) {
+void Engine::drop_flush(std::size_t machine) {
+  if (config_.audit) audit_dropped_ += staged_words(machine);
   clear_sender_staging(machine);
   std::erase_if(shared_sends_, [machine](const SharedSend& s) {
     return s.from == machine;
   });
 }
 
-std::size_t Engine::duplicate_machine_staging(std::size_t machine) {
+void Engine::duplicate_flush(std::size_t machine) {
   const std::vector<std::uint32_t> tos = out_tos_[machine];
   const std::vector<std::uint32_t> counts = out_counts_[machine];
   const std::vector<Word> words = out_words_[machine];
@@ -854,19 +748,18 @@ std::size_t Engine::duplicate_machine_staging(std::size_t machine) {
   // open_to_ still names the destination of the (duplicated) last run.
   // The checksum accumulator, however, covered only one copy.
   if (config_.integrity) resync_sender_checksum(machine);
-  return words.size();
+  audit_duped_ += words.size();
 }
 
-std::size_t Engine::delay_machine_staging(std::size_t machine) {
+void Engine::delay_flush(std::size_t machine) {
   DelayedFlush d;
   d.from = machine;
   d.tos = std::move(out_tos_[machine]);
   d.counts = std::move(out_counts_[machine]);
   d.words = std::move(out_words_[machine]);
   clear_sender_staging(machine);
-  const std::size_t held = d.words.size();
-  if (held != 0) delayed_.push_back(std::move(d));
-  return held;
+  audit_delayed_ += d.words.size();
+  if (!d.words.empty()) delayed_.push_back(std::move(d));
 }
 
 void Engine::inject_delayed() {
@@ -891,238 +784,47 @@ void Engine::inject_delayed() {
   delayed_.clear();
 }
 
-void Engine::clear_delivered_for(std::size_t machine) {
+void Engine::clear_delivered(std::size_t machine) {
   inbox_[machine].clear();
   if (shared_round_) {
     in_segs_[machine].clear();
     recv_total_[machine] = 0;
   }
-  inbox_cache_valid_[machine] = 0;
-}
-
-void Engine::exchange_faulty(std::span<const fault::FaultEvent> events) {
-  const std::size_t round = metrics_.rounds;
-  // Copy-on-fault checkpoint: materialized only because this round carries
-  // events. The capture happens before any corruption — it is the state a
-  // rollback returns to.
-  std::size_t ckpt_words = 0;
-  Snapshot ckpt;
-  if (fault_recover_) {
-    if (registry_ != nullptr) ckpt_words += registry_->capture(round);
-    ckpt = snapshot();
-    ckpt_words += ckpt.words();
-  }
-  std::size_t replays = 0;
-  std::size_t resent = 0;
-  std::size_t applied = 0;
-  std::size_t corrupted = 0;
-  std::size_t detected = 0;
-  std::size_t retransmitted = 0;
-  std::size_t store_corrupted = 0;
-  std::size_t store_detected = 0;
-  std::size_t store_repaired = 0;
-  std::size_t fallbacks = 0;
-  std::size_t ckpt_rot = 0;
-  crashed_scratch_.clear();
-  dark_scratch_.clear();
-  for (std::size_t ei = 0; ei < events.size(); ++ei) {
-    const fault::FaultEvent& ev = events[ei];
-    // Plans written for a larger cluster (reprovisioning shrinks nothing,
-    // but machine counts are derived) may name machines we don't have.
-    if (ev.machine >= config_.num_machines) continue;
-    ++applied;
-    switch (ev.kind) {
-      case fault::FaultKind::kCrash:
-        if (fault_recover_) {
-          if (crashes_recovered_ >= fault_plan_->crash_budget) {
-            throw fault::FaultBudgetError(
-                "machine " + std::to_string(ev.machine) +
-                " crashed in round " + std::to_string(round) +
-                ": crash budget of " +
-                std::to_string(fault_plan_->crash_budget) + " exhausted");
-          }
-          ++crashes_recovered_;
-          // The crash destroys the machine's flush and its local state;
-          // recovery retransmits from sender-side retention and reinstates
-          // the checkpoint. The corrupt-then-restore order makes the
-          // snapshot genuinely load-bearing: a broken restore() diverges
-          // the coupling tests.
-          resent += staged_out_words(ev.machine);
-          corrupt_machine_staging(ev.machine);
-          restore(ckpt);
-          restore_registry(ev.machine, round, replays, fallbacks);
-          ++replays;
-          crashed_scratch_.push_back(ev.machine);
-        } else {
-          if (config_.audit) audit_dropped_ += staged_out_words(ev.machine);
-          corrupt_machine_staging(ev.machine);
-          dark_scratch_.push_back(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kDropFlush:
-        if (fault_recover_) {
-          resent += staged_out_words(ev.machine);
-          corrupt_machine_staging(ev.machine);
-          restore(ckpt);
-          ++replays;
-        } else {
-          if (config_.audit) audit_dropped_ += staged_out_words(ev.machine);
-          corrupt_machine_staging(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kDuplicateFlush:
-        // With recovery, (round, sequence) deduplication discards the
-        // second copy before delivery — only the event count records it.
-        if (!fault_recover_) {
-          audit_duped_ += duplicate_machine_staging(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kDelayFlush:
-        if (fault_recover_) {
-          ++replays;  // the barrier stalls one round for the late flush
-        } else {
-          audit_delayed_ += delay_machine_staging(ev.machine);
-        }
-        break;
-      case fault::FaultKind::kCorruptPayload: {
-        // Silent in-transit corruption of the staged wire stream.  The
-        // sender retains its pristine stream first (real shuffle layers
-        // keep the flush until the receiver acks), then mix64-derived bits
-        // flip in the live staged words.
-        if (corrupt_staged_words(ev.machine, round, ei) == 0) break;
-        ++corrupted;
-        if (!config_.integrity) break;  // undetected: propagates silently
-        if (sender_stream_ok(ev.machine)) break;  // 2^-64 digest collision
-        ++detected;
-        // The detect->retransmit protocol: attempt ordinal = how many
-        // times this machine's flush has been corrupted this round.
-        std::size_t attempt = 1;
-        for (std::size_t j = 0; j < ei; ++j) {
-          attempt += events[j].kind == fault::FaultKind::kCorruptPayload &&
-                     events[j].machine == ev.machine;
-        }
-        if (attempt > fault_plan_->retransmit_budget) {
-          // Budget blown: the link is hopeless, escalate to the PR 6
-          // checkpoint-recovery path (roll the round back and replay).
-          if (!fault_recover_) {
-            throw IntegrityError(
-                "machine " + std::to_string(ev.machine) +
-                " flush corrupted in round " + std::to_string(round) +
-                ": retransmit budget of " +
-                std::to_string(fault_plan_->retransmit_budget) +
-                " exhausted and recovery is off");
-          }
-          restore(ckpt);
-          restore_registry(ev.machine, round, replays, fallbacks);
-          ++replays;
-          retransmitted += out_words_[ev.machine].size();
-        } else {
-          retransmitted += retransmit_retained(ev.machine);
-        }
-        break;
-      }
-      case fault::FaultKind::kCorruptStore: {
-        // Silent rot in the durable payload store.  The publisher retains
-        // a pristine copy of the targeted blob first (the store's repair
-        // source), then mix64-derived bits flip in the stored words — and
-        // every reader's inbox_view / broadcast_view splice would alias
-        // the rot.
-        if (corrupt_store_blob(ev.machine, round, ei) == 0) break;
-        ++store_corrupted;
-        if (!config_.integrity) break;  // undetected: every view aliases rot
-        if (store_blob_ok(retained_blob_id_)) break;  // 2^-64 collision
-        ++store_detected;
-        // Same escalation contract as the wire: attempt ordinal = how many
-        // times this machine's published blobs have rotted this round.
-        std::size_t attempt = 1;
-        for (std::size_t j = 0; j < ei; ++j) {
-          attempt += events[j].kind == fault::FaultKind::kCorruptStore &&
-                     events[j].machine == ev.machine;
-        }
-        if (attempt > fault_plan_->retransmit_budget) {
-          if (!fault_recover_) {
-            throw IntegrityError(
-                "machine " + std::to_string(ev.machine) +
-                " payload store corrupted in round " + std::to_string(round) +
-                ": retransmit budget of " +
-                std::to_string(fault_plan_->retransmit_budget) +
-                " exhausted and recovery is off");
-          }
-          restore(ckpt);
-          restore_registry(ev.machine, round, replays, fallbacks);
-          ++replays;
-        } else {
-          store_repaired += repair_retained_blob();
-        }
-        break;
-      }
-      case fault::FaultKind::kCorruptCheckpoint: {
-        // Bit rot in a retained checkpoint image.  Nothing observable
-        // happens at injection time; the damage surfaces at the next
-        // restore, which verifies generations and falls back (see
-        // restore_registry).  The first rot event of a round hits the
-        // newest generation, subsequent ones walk down the ring — so a
-        // single event models newest-image rot (the fallback headline)
-        // and stacked events can rot the whole ring.
-        if (registry_ == nullptr || !registry_->has_checkpoint()) break;
-        registry_->corrupt_generation(
-            ckpt_rot % registry_->generations_held(), round, ev.machine, ei);
-        ++ckpt_rot;
-        break;
-      }
-    }
-  }
-  exchange_impl();
-  // A recovered crash also re-fetches the deliveries the machine lost.
-  for (const std::size_t machine : crashed_scratch_) {
-    resent += received_words(machine);
-  }
-  for (const std::size_t machine : dark_scratch_) {
-    clear_delivered_for(machine);
-  }
-  metrics_.rounds_replayed += replays;
-  metrics_.words_resent += resent;
-  metrics_.checkpoint_bytes += ckpt_words * sizeof(Word);
-  metrics_.faults_injected += applied;
-  metrics_.corruptions_injected += corrupted;
-  metrics_.corruptions_detected += detected;
-  metrics_.words_retransmitted += retransmitted;
-  metrics_.store_corruptions_injected += store_corrupted;
-  metrics_.store_corruptions_detected += store_detected;
-  metrics_.store_words_repaired += store_repaired;
-  metrics_.checkpoint_fallbacks += fallbacks;
 }
 
 // ---------------------------------------------------------------------------
 // Message integrity: per-sender FNV-1a stream checksums (see Config::integrity).
 
-bool Engine::sender_stream_ok(std::size_t from) const {
+bool Engine::stream_ok(std::size_t from) const {
   return Fnv::digest({out_words_[from].data(), out_words_[from].size()}) ==
          out_csums_[from];
 }
 
+template <typename Ok>
+std::size_t Engine::first_failing(std::size_t n, Ok ok) const {
+  // Re-digesting is the integrity layer's one O(words) pass — shard it.
+  // The scan for the lowest failing index stays sequential, so an error
+  // names the same index at every thread count.
+  verify_ok_.assign(n, 1);
+  backend_->run_chunks(0, n,
+                       [&](std::size_t, std::size_t lo, std::size_t hi) {
+                         for (std::size_t i = lo; i < hi; ++i) {
+                           verify_ok_[i] = ok(i) ? 1 : 0;
+                         }
+                       });
+  return static_cast<std::size_t>(
+      std::find(verify_ok_.begin(), verify_ok_.end(), 0) - verify_ok_.begin());
+}
+
 void Engine::verify_streams() const {
-  const std::size_t m = config_.num_machines;
-  // Re-digesting every sender's stream is the integrity layer's one
-  // O(words) pass — shard it. The throw stays sequential and ascending so
-  // the lowest failing sender is named.
-  verify_ok_.assign(m, 1);
-  backend_->run_chunks(
-      0, m, [&](std::size_t, std::size_t lo, std::size_t hi) {
-        for (std::size_t from = lo; from < hi; ++from) {
-          verify_ok_[from] = sender_stream_ok(from) ? 1 : 0;
-        }
-      });
-  for (std::size_t from = 0; from < m; ++from) {
-    if (!verify_ok_[from]) {
-      throw IntegrityError(
-          "machine " + std::to_string(from) + " flush (" +
-          std::to_string(out_words_[from].size()) +
-          " words) fails its stream checksum in round " +
-          std::to_string(metrics_.rounds) +
-          ": corruption was not repaired before delivery");
-    }
-  }
+  const std::size_t from = first_failing(
+      config_.num_machines, [this](std::size_t i) { return stream_ok(i); });
+  if (from == config_.num_machines) return;
+  throw IntegrityError("machine " + std::to_string(from) + " flush (" +
+                       std::to_string(out_words_[from].size()) +
+                       " words) fails its stream checksum in round " +
+                       std::to_string(metrics_.rounds) +
+                       ": corruption was not repaired before delivery");
 }
 
 void Engine::resync_sender_checksum(std::size_t from) {
@@ -1130,11 +832,9 @@ void Engine::resync_sender_checksum(std::size_t from) {
       Fnv::digest({out_words_[from].data(), out_words_[from].size()});
 }
 
-std::size_t Engine::corrupt_staged_words(std::size_t machine,
-                                         std::size_t round,
-                                         std::size_t ordinal) {
+std::size_t Engine::corrupt_stream(std::size_t machine, std::size_t round,
+                                   std::size_t ordinal) {
   auto& words = out_words_[machine];
-  if (words.empty()) return 0;
   // Retain the pristine stream before touching it — the sender keeps its
   // flush until the receiver acks, so a detected mismatch can be served
   // from retention.
@@ -1143,37 +843,13 @@ std::size_t Engine::corrupt_staged_words(std::size_t machine,
   retained_.words = words;
   retained_.open_to = out_open_to_[machine];
   retained_.csum = config_.integrity ? out_csums_[machine] : Fnv::kOffset;
-  retained_from_ = machine;
-  // 1..3 distinct (word, bit) flips.  Deduplication matters: an even number
-  // of flips of the same bit would cancel, and the contract is that every
-  // injected corruption genuinely differs from the pristine stream (so
-  // detected == injected whenever integrity is on).
-  const std::size_t flips = 1 + mix64(round, machine, ordinal * 8 + 5) % 3;
-  std::size_t applied = 0;
-  for (std::size_t f = 0; f < flips; ++f) {
-    const std::size_t idx =
-        mix64(round, machine * 8 + f, ordinal * 8 + 6) % words.size();
-    const std::size_t bit =
-        mix64(round, machine * 8 + f, ordinal * 8 + 7) % 64;
-    bool fresh = true;
-    for (std::size_t g = 0; g < f; ++g) {
-      const std::size_t pidx =
-          mix64(round, machine * 8 + g, ordinal * 8 + 6) % words.size();
-      const std::size_t pbit =
-          mix64(round, machine * 8 + g, ordinal * 8 + 7) % 64;
-      if (pidx == idx && pbit == bit) {
-        fresh = false;
-        break;
-      }
-    }
-    if (!fresh) continue;
-    words[idx] ^= Word{1} << bit;
-    ++applied;
-  }
-  return applied;
+  const auto flips =
+      fault::flip_positions(round, machine, ordinal, words.size());
+  for (const fault::BitFlip& at : flips) words[at.word] ^= Word{1} << at.bit;
+  return flips.size();
 }
 
-std::size_t Engine::retransmit_retained(std::size_t machine) {
+std::size_t Engine::retransmit_stream(std::size_t machine) {
   // Serve the ack-retained pristine flush back into staging, replacing the
   // corrupted stream wholesale.
   out_tos_[machine] = retained_.tos;
@@ -1189,8 +865,8 @@ std::size_t Engine::retransmit_retained(std::size_t machine) {
 // and verified checkpoint generations (see DESIGN.md, "Durable-store
 // integrity & verified checkpoints").
 
-std::size_t Engine::corrupt_store_blob(std::size_t machine, std::size_t round,
-                                       std::size_t ordinal) {
+std::size_t Engine::corrupt_store(std::size_t machine, std::size_t round,
+                                  std::size_t ordinal) {
   std::size_t total = 0;
   for (const auto& p : staged_payloads_) total += p.size();
   if (total == 0) return 0;
@@ -1208,33 +884,10 @@ std::size_t Engine::corrupt_store_blob(std::size_t machine, std::size_t round,
   // repair source the detect path serves from.
   retained_blob_ = words;
   retained_blob_id_ = blob;
-  // Same 1..3 deduplicated (word, bit) flips as the wire corruption: every
-  // injected rot genuinely differs from the pristine blob, so
-  // store_corruptions_detected == store_corruptions_injected whenever
-  // integrity is on.
-  const std::size_t flips = 1 + mix64(round, machine, ordinal * 8 + 5) % 3;
-  std::size_t applied = 0;
-  for (std::size_t f = 0; f < flips; ++f) {
-    const std::size_t idx =
-        mix64(round, machine * 8 + f, ordinal * 8 + 6) % words.size();
-    const std::size_t bit =
-        mix64(round, machine * 8 + f, ordinal * 8 + 7) % 64;
-    bool fresh = true;
-    for (std::size_t g = 0; g < f; ++g) {
-      const std::size_t pidx =
-          mix64(round, machine * 8 + g, ordinal * 8 + 6) % words.size();
-      const std::size_t pbit =
-          mix64(round, machine * 8 + g, ordinal * 8 + 7) % 64;
-      if (pidx == idx && pbit == bit) {
-        fresh = false;
-        break;
-      }
-    }
-    if (!fresh) continue;
-    words[idx] ^= Word{1} << bit;
-    ++applied;
-  }
-  return applied;
+  const auto flips =
+      fault::flip_positions(round, machine, ordinal, words.size());
+  for (const fault::BitFlip& at : flips) words[at.word] ^= Word{1} << at.bit;
+  return flips.size();
 }
 
 bool Engine::store_blob_ok(PayloadId id) const {
@@ -1242,32 +895,22 @@ bool Engine::store_blob_ok(PayloadId id) const {
   return Fnv::digest({words.data(), words.size()}) == staged_digests_[id];
 }
 
-std::size_t Engine::repair_retained_blob() {
+std::size_t Engine::repair_store() {
   staged_payloads_[retained_blob_id_] = retained_blob_;
   return retained_blob_.size();
 }
 
 void Engine::verify_store() const {
-  // Same shape as verify_streams: sharded digests, sequential throw naming
-  // the lowest failing blob.
   const std::size_t blobs = staged_digests_.size();
-  verify_ok_.assign(blobs, 1);
-  backend_->run_chunks(
-      0, blobs, [&](std::size_t, std::size_t lo, std::size_t hi) {
-        for (std::size_t id = lo; id < hi; ++id) {
-          verify_ok_[id] = store_blob_ok(static_cast<PayloadId>(id)) ? 1 : 0;
-        }
-      });
-  for (std::size_t id = 0; id < blobs; ++id) {
-    if (!verify_ok_[id]) {
-      throw IntegrityError(
-          "payload blob " + std::to_string(id) + " (" +
-          std::to_string(staged_payloads_[id].size()) +
-          " words) fails its store digest in round " +
-          std::to_string(metrics_.rounds) +
-          ": corruption was not repaired before delivery");
-    }
-  }
+  const std::size_t id = first_failing(blobs, [this](std::size_t i) {
+    return store_blob_ok(static_cast<PayloadId>(i));
+  });
+  if (id == blobs) return;
+  throw IntegrityError("payload blob " + std::to_string(id) + " (" +
+                       std::to_string(staged_payloads_[id].size()) +
+                       " words) fails its store digest in round " +
+                       std::to_string(metrics_.rounds) +
+                       ": corruption was not repaired before delivery");
 }
 
 void Engine::scrub_pass() {
@@ -1279,55 +922,8 @@ void Engine::scrub_pass() {
   // the generation ring's retention contract).
   verify_store();
   verify_streams();
-  if (registry_ != nullptr) {
-    for (std::size_t age = 0; age < registry_->generations_held(); ++age) {
-      (void)registry_->generation_ok(age);
-    }
-  }
+  sup_.scrub_checkpoints();
   ++metrics_.scrub_passes;
-}
-
-void Engine::restore_registry(std::size_t machine, std::size_t round,
-                              std::size_t& replays, std::size_t& fallbacks) {
-  if (registry_ == nullptr || !registry_->has_checkpoint()) return;
-  if (!registry_->generation_ok(0)) {
-    // The newest image rotted in retention.  Find the next older verified
-    // generation — the cluster's last good copy.
-    const std::size_t held = registry_->generations_held();
-    std::size_t age = 1;
-    while (age < held && !registry_->generation_ok(age)) ++age;
-    if (age == held) {
-      // Name the rotted providers so the operator knows which state lost
-      // its last good copy.
-      std::vector<std::string> seen;
-      std::string rotted;
-      for (std::size_t a = 0; a < held; ++a) {
-        for (std::string& name : registry_->rotted_providers(a)) {
-          if (std::find(seen.begin(), seen.end(), name) != seen.end()) {
-            continue;
-          }
-          rotted += rotted.empty() ? "" : ", ";
-          rotted += name;
-          seen.push_back(std::move(name));
-        }
-      }
-      throw fault::CheckpointError(
-          "machine " + std::to_string(machine) + ": all " +
-          std::to_string(held) +
-          " retained checkpoint generation(s) fail verification in round " +
-          std::to_string(round) + " (rotted provider(s): " + rotted +
-          "): the cluster is unrecoverable");
-    }
-    // Deterministic replay from the verified generation reconstructs
-    // exactly the state the newest capture serialized — which is the live
-    // provider state, untouched since the capture at this round's entry.
-    // Recapture it into the newest slot (the simulated replay's result)
-    // and charge the rounds between the two generation tags.
-    replays += round - registry_->generation_round(age);
-    ++fallbacks;
-    registry_->recapture_newest();
-  }
-  registry_->restore();
 }
 
 // ---------------------------------------------------------------------------

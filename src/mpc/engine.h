@@ -23,31 +23,22 @@
 //     simulator work instead of O(k * f) copies.
 // Inboxes are exposed as ordered segment views (`inbox_view`): each shared
 // payload appears as one segment aliasing the single stored copy, and
-// unicast words as segments into the receiver's inbox buffer. The legacy
-// `inbox()` accessor survives as a lazily-materialized compatibility shim.
+// unicast words as segments into the receiver's inbox buffer.
 // Zero-copy changes *simulation* cost only: metrics (rounds, sent/received
 // words, violations) account shared payloads at full per-destination size,
 // exactly as if every receiver got its own copy.
 #ifndef MPCG_MPC_ENGINE_H
 #define MPCG_MPC_ENGINE_H
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "fault/durable.h"
+#include "fault/supervisor.h"
 #include "mpc/backend.h"
 #include "util/fnv.h"
-
-namespace mpcg::fault {
-class FaultPlan;
-class CheckpointRegistry;
-struct FaultEvent;
-}  // namespace mpcg::fault
 
 namespace mpcg::mpc {
 
@@ -64,25 +55,10 @@ class CapacityError : public std::runtime_error {
   explicit CapacityError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown when integrity checking (Config::integrity) detects a stream
-/// checksum mismatch it cannot repair: a corruption whose retransmit budget
-/// is exhausted with recovery disabled, or a mismatch at delivery that no
-/// detect->retransmit cycle handled.
-class IntegrityError : public std::runtime_error {
- public:
-  explicit IntegrityError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
-/// Thrown when audit mode (Config::audit) finds a broken invariant — a
-/// conservation violation, an untallied capacity breach, or an inbox view
-/// whose segments disagree with the delivered word count.  An AuditError is
-/// a simulator bug (or memory corruption), never an expected outcome of an
-/// injected fault.
-class AuditError : public std::logic_error {
- public:
-  explicit AuditError(const std::string& what) : std::logic_error(what) {}
-};
+/// Integrity (Config::integrity) and audit (Config::audit) failures: the
+/// one pair of types both engines throw (see fault/supervisor.h).
+using IntegrityError = fault::IntegrityError;
+using AuditError = fault::AuditError;
 
 struct Config {
   /// Number of machines, m.
@@ -121,30 +97,6 @@ struct Config {
   /// that escaped the repair path throws IntegrityError (see DESIGN.md,
   /// "Determinism contract").
   std::size_t scrub_interval = 0;
-  /// On-disk checkpoint durability (see fault/durable.h): every K-th safe
-  /// point the driver announces via checkpoint_boundary() is persisted as
-  /// one durable generation under `checkpoint_dir`.  Empty = off; the
-  /// remaining durability knobs are then ignored.
-  std::string checkpoint_dir{};
-  /// Persist every K-th safe point (must be >= 1).
-  std::size_t checkpoint_every = 1;
-  /// Configuration signature baked into every durable file.  A resume only
-  /// loads checkpoints whose scope matches exactly, so another run's
-  /// leftovers (different driver, graph, cluster shape, seed) read as "no
-  /// checkpoint" — a clean fresh start.  Drivers set this; an empty scope
-  /// with a non-empty dir is a driver bug.
-  std::string checkpoint_scope{};
-  /// Resume from the newest verified on-disk generation (try_resume());
-  /// false wipes stale same-scope files so they can never outrank this
-  /// run's own checkpoints by sequence number.
-  bool resume = false;
-  /// Graceful-stop flag (a SIGTERM/SIGINT handler sets it): polled at every
-  /// safe point; when set the engine flushes one final generation and
-  /// throws fault::ResumableInterrupt.
-  const std::atomic<bool>* stop_flag = nullptr;
-  /// Test hook: behave as if stop_flag was set at the N-th safe point
-  /// (0 = never) — deterministic kill points for resume tests.
-  std::size_t stop_after_safe_points = 0;
   /// Execution backend width (see mpc/backend.h): 1 runs every chunk
   /// inline on the caller; > 1 = a shared-memory pool of that many threads
   /// (caller included) running the contention-free exchange surfaces and
@@ -213,8 +165,8 @@ struct Metrics {
   /// Proactive durable-store scrub sweeps executed (Config::scrub_interval).
   std::size_t scrub_passes = 0;
 
-  // On-disk durability accounting (all zero unless Config::checkpoint_dir
-  // is set — clean non-persistent runs never touch the disk).
+  // On-disk durability accounting (all zero unless set_durability armed
+  // it — clean non-persistent runs never touch the disk).
   /// Durable generations persisted (checkpoint files atomically published).
   std::size_t disk_checkpoints_written = 0;
   /// Total 64-bit words written across those files (headers + payloads).
@@ -459,7 +411,7 @@ class InboxView {
   std::size_t words_ = 0;
 };
 
-class Engine {
+class Engine final : private fault::RoundAdapter {
   /// One queued shared-payload delivery. `seq` snapshots how many unicast
   /// words the sender had queued in total when the shared push happened —
   /// the splice position that keeps per-sender chronological order in the
@@ -558,13 +510,6 @@ class Engine {
     return delivered_payloads_.at(id);
   }
 
-  /// Words delivered to `machine` by the most recent exchange, concatenated
-  /// in sender order (sender ids ascending; each sender's words in push
-  /// order). Compatibility shim over inbox_view: rounds that carried no
-  /// shared payloads return the inbox buffer directly; otherwise the
-  /// concatenation is materialized lazily (once) per machine per round.
-  [[nodiscard]] const std::vector<Word>& inbox(std::size_t machine) const;
-
   /// Reports `words` of resident state on `machine` for peak-storage
   /// accounting (e.g. an adjacency shard or a gathered subgraph). In strict
   /// mode exceeding S throws.
@@ -610,90 +555,95 @@ class Engine {
   void restore(const Snapshot& snap);
 
   /// Attaches a deterministic fault schedule, consulted at every round
-  /// boundary (round index = Metrics::rounds at entry).  `registry`, when
-  /// given, is the driver's checkpoint registry: it is captured alongside
-  /// the engine snapshot at faulty rounds and restored on crash rollback.
-  /// With `recover` false nothing rolls back — crashed machines simply go
-  /// dark for the round (lost flush, cleared inbox) and duplicated or
-  /// delayed flushes hit the wire as such.  Passing nullptr (or an empty
-  /// plan) detaches.  The plan must outlive the engine's use of it.
+  /// boundary (round index = Metrics::rounds at entry), and the driver's
+  /// checkpoint registry; see fault::RoundSupervisor::set_fault_plan.
+  /// Passing nullptr (or an empty plan) detaches the schedule.
   void set_fault_plan(const fault::FaultPlan* plan,
                       fault::CheckpointRegistry* registry = nullptr,
-                      bool recover = true);
+                      bool recover = true) {
+    sup_.set_fault_plan(plan, registry, recover);
+  }
 
   /// Crashes absorbed by recovery so far (checked against the plan's
   /// crash_budget).
   [[nodiscard]] std::size_t crashes_recovered() const noexcept {
-    return crashes_recovered_;
+    return sup_.crashes_recovered();
   }
 
-  /// Driver-announced safe point (a driver loop boundary where the
-  /// registered providers' state is self-consistent and the message plane
-  /// is quiescent).  With Config::checkpoint_dir set: polls the stop flag
-  /// (flushing a final generation and throwing fault::ResumableInterrupt
-  /// when stopping) and persists one durable generation every
-  /// Config::checkpoint_every-th call.  No-op without durability — drivers
-  /// call it unconditionally at their loop tops.
-  void checkpoint_boundary();
+  /// Arms on-disk durability: every options.every-th safe point persists
+  /// one generation under options.dir, and `scope` is the configuration
+  /// signature baked into every file (see
+  /// fault::RoundSupervisor::set_durability). No-op for an empty dir.
+  void set_durability(const fault::DurableOptions& options,
+                      std::string scope) {
+    sup_.set_durability(options, std::move(scope));
+  }
+
+  /// Driver-announced safe point (a loop boundary where the registered
+  /// providers are self-consistent and the message plane is quiescent).
+  /// Parks the pool first, so no worker touches engine or provider state
+  /// while a generation persists or a stop unwinds; then polls the stop
+  /// flag and persists (fault::RoundSupervisor::checkpoint_boundary).
+  /// Drivers call it unconditionally at their loop tops.
+  void checkpoint_boundary() {
+    backend_->quiesce();
+    sup_.checkpoint_boundary(*this, metrics_.rounds);
+  }
 
   /// Resume attempt (call once, after registering checkpoint providers and
-  /// before the first round): loads the newest verified on-disk generation
-  /// matching Config::checkpoint_scope, reinstates every provider and the
-  /// engine's own "__engine" section (metrics, crash count, delayed
-  /// flushes), and counts plan events at already-completed rounds into
-  /// Metrics::faults_skipped_on_resume.  Returns true when a checkpoint
-  /// was loaded (the driver skips its preamble and re-enters its loop);
-  /// false on a fresh start (durability off, --resume not given, nothing
-  /// on disk, or a scope mismatch).  Throws fault::CheckpointError when
-  /// files exist for this scope but every generation fails verification.
-  bool try_resume();
+  /// attaching any plan, before the first round): true when a generation
+  /// was loaded and the driver should skip its preamble (see
+  /// fault::RoundSupervisor::try_resume).
+  bool try_resume() { return sup_.try_resume(*this); }
 
  private:
-  /// Persists one durable generation (provider sections + "__engine").
-  void persist();
-  /// Refills `s` with the engine's own durable section: Metrics, two
-  /// reserved words, and the crash/delayed-flush carryover.  Staging and
-  /// the payload store are NOT serialized — safe points are quiescent, a
-  /// fresh process's empty staging is exactly right.  Takes the section by
-  /// reference so persist() can recycle the buffer across safe points.
-  void engine_section_into(fault::DurableSection& s) const;
-  void install_engine_section(std::span<const Word> payload);
   void check_budget(std::size_t machine, std::size_t words, const char* dir);
   void check_machine(std::size_t machine) const;
   [[noreturn]] void throw_bad_machine(std::size_t machine) const;
 
   void drop_last_round();
-  /// The actual round execution (the pre-fault exchange() body); exchange()
-  /// wraps it with the fault-plan consultation.
-  void exchange_impl();
-  /// exchange() when a fault plan is attached and schedules events for the
-  /// current round: checkpoint (copy-on-fault), apply each event —
-  /// corrupting staged state and, with recovery, rolling back and replaying
-  /// — then run the round and settle the recovery metrics.
-  void exchange_faulty(std::span<const fault::FaultEvent> events);
-  /// Words machine `m` has staged for the next exchange (unicast + its
-  /// share of shared payload deliveries) — what a lost flush costs.
-  [[nodiscard]] std::size_t staged_out_words(std::size_t machine) const;
-  /// Words machine `m` received in the round just executed.
-  [[nodiscard]] std::size_t received_words(std::size_t machine) const;
-  /// Destroys machine `m`'s staged outbound traffic (its unicast run
-  /// streams and its queued shared-payload sends). The payload *store*
-  /// survives: stage_payload models a durable blob store, the per-machine
-  /// flush is what a fault destroys.
-  void corrupt_machine_staging(std::size_t machine);
-  /// Doubles machine `m`'s staged unicast traffic (non-recovered duplicate
-  /// flush: receivers see every word twice and congestion accounting
-  /// trips).  Returns the words added (the audit-mode adjustment).
-  std::size_t duplicate_machine_staging(std::size_t machine);
-  /// Holds machine `m`'s staged unicast traffic back one round
-  /// (non-recovered delayed flush); inject_delayed() re-appends it to the
-  /// next round's staging.  Returns the words held back.
-  std::size_t delay_machine_staging(std::size_t machine);
+
+  // fault::RoundAdapter hooks (see fault/supervisor.h). A machine's flush
+  // is its unicast run streams plus its queued shared-payload sends; the
+  // payload *store* outlives a lost flush (stage_payload models a durable
+  // blob store). Unrecovered drops, duplicates and delays record their
+  // word counts for the audit; restore_staging() zeroes them.
+  std::size_t snapshot_staging() override;
+  void restore_staging() override;
+  void drop_flush(std::size_t machine) override;
+  void duplicate_flush(std::size_t machine) override;
+  void delay_flush(std::size_t machine) override;
+  std::size_t corrupt_stream(std::size_t machine, std::size_t round,
+                             std::size_t ordinal) override;
+  [[nodiscard]] bool stream_ok(std::size_t machine) const override;
+  std::size_t retransmit_stream(std::size_t machine) override;
+  /// Rots the blob holding a word picked uniformly across the store, so a
+  /// non-empty store always takes a hit.
+  std::size_t corrupt_store(std::size_t machine, std::size_t round,
+                            std::size_t ordinal) override;
+  [[nodiscard]] bool store_ok() const override {
+    return store_blob_ok(retained_blob_id_);
+  }
+  std::size_t repair_store() override;
+  [[nodiscard]] std::size_t staged_words(std::size_t machine) const override;
+  [[nodiscard]] std::size_t received_words(
+      std::size_t machine) const override;
+  /// The round body: verify, then the unicast or the shared flush.
+  void deliver() override;
+  /// Send-side metrics keep a dark machine's words: they were sent, they
+  /// just hit a dead host.
+  void clear_delivered(std::size_t machine) override;
+  /// Metrics, two reserved zero words, the crash count, and the delayed
+  /// flushes (they straddle the round boundary). Staging and the payload
+  /// store are not serialized: safe points are quiescent.
+  void save_engine_section(std::vector<Word>& out,
+                           std::size_t crashes) const override;
+  std::size_t install_engine_section(fault::SectionReader& in) override;
+  void account(const fault::FaultTally& tally) override {
+    fault::add_tally(metrics_, tally);
+  }
+
   void inject_delayed();
-  /// Blanks what a dark (non-recovered crashed) machine received this
-  /// round. Send-side metrics keep the words — they were sent, they just
-  /// hit a dead host.
-  void clear_delivered_for(std::size_t machine);
   /// Clears one sender's staged stream (tags, counts, words, open-run
   /// table, checksum accumulator).
   void clear_sender_staging(std::size_t from);
@@ -701,35 +651,18 @@ class Engine {
   /// staged stream (after a non-append mutation: duplicate, delayed
   /// re-injection, restore).
   void resync_sender_checksum(std::size_t from);
-  /// True iff the sender's accumulated checksum matches a recomputation
-  /// over its staged stream — the receiver-side verification.
-  [[nodiscard]] bool sender_stream_ok(std::size_t from) const;
   /// Flush-time verification of every sender's stream (one branch per
   /// flush reaches here only with Config::integrity on).  A mismatch at
   /// this point escaped the detect->retransmit protocol — real memory
   /// corruption, not an injected fault — and throws IntegrityError.
   void verify_streams() const;
-  /// Copies machine `m`'s staged stream aside (sender-side retention) and
-  /// flips 1-3 mix64-derived bits in the live staged words.  Returns the
-  /// number of bits flipped (0 when nothing is staged).
-  std::size_t corrupt_staged_words(std::size_t machine, std::size_t round,
-                                   std::size_t ordinal);
-  /// Reinstates the retained pristine stream (the retransmission) and
-  /// returns the number of words re-delivered.
-  std::size_t retransmit_retained(std::size_t machine);
-  /// kCorruptStore injection: copies the targeted payload blob aside (the
-  /// publisher's retained pristine copy) and flips 1-3 mix64-derived bits
-  /// in the stored blob.  The blob is picked word-weighted across the
-  /// store, so a non-empty store always takes a hit.  Returns the number
-  /// of bits flipped (0 when the store holds no words).
-  std::size_t corrupt_store_blob(std::size_t machine, std::size_t round,
-                                 std::size_t ordinal);
+  /// Lowest i < n with !ok(i), evaluated sharded over the pool (n when
+  /// all pass).
+  template <typename Ok>
+  std::size_t first_failing(std::size_t n, Ok ok) const;
   /// True iff the blob's stored words still match the digest folded at
   /// stage_payload time — the reader-side store verification.
   [[nodiscard]] bool store_blob_ok(PayloadId id) const;
-  /// Reinstates the retained pristine blob (the in-place store repair) and
-  /// returns the number of words restored.
-  std::size_t repair_retained_blob();
   /// Flush-time verification of every staged payload blob against its
   /// stage-time digest (reached only with Config::integrity on) — the
   /// reader-side guarantee that inbox_view / broadcast_view splices never
@@ -741,15 +674,6 @@ class Engine {
   /// checkpoint generation.  Pure verification — inert on a clean run
   /// except for Metrics::scrub_passes.
   void scrub_pass();
-  /// Verified checkpoint restore with generation fallback: restores the
-  /// newest registry generation if it verifies; otherwise falls back to
-  /// the next older verified one — deterministic replay from it would
-  /// reconstruct exactly the live provider state, so the newest image is
-  /// recaptured from live state and the replayed rounds are charged —
-  /// and throws CheckpointError naming `machine` and `round` when every
-  /// generation is bad.
-  void restore_registry(std::size_t machine, std::size_t round,
-                        std::size_t& replays, std::size_t& fallbacks);
   /// Audit mode: records the staged word total (post delayed-injection,
   /// pre fault events) and the fault adjustments baseline for this round.
   void begin_audit();
@@ -824,9 +748,6 @@ class Engine {
   /// machines in seg_touched_.
   std::vector<std::size_t> recv_total_;
   bool shared_round_ = false;
-  /// Lazy materializations backing the inbox() shim on shared rounds.
-  mutable std::vector<std::vector<Word>> inbox_cache_;
-  mutable std::vector<char> inbox_cache_valid_;
 
   /// Per-receiver word counts for the current exchange (scratch).
   std::vector<std::size_t> recv_count_;
@@ -849,21 +770,11 @@ class Engine {
   /// order, with seq rewritten to the within-pair splice offset.
   std::vector<SharedSend> sender_sends_;
 
-  // Fault machinery (see set_fault_plan). All pointers are borrowed.
-  const fault::FaultPlan* fault_plan_ = nullptr;
-  fault::CheckpointRegistry* registry_ = nullptr;
-  bool fault_recover_ = true;
-  std::size_t crashes_recovered_ = 0;
-  /// On-disk generation ring (engaged iff Config::checkpoint_dir is set).
-  std::optional<fault::DurableRing> dring_;
-  /// Safe points announced via checkpoint_boundary() this process (not
-  /// persisted: it only paces the persistence cadence).
-  std::size_t safe_points_ = 0;
-  /// Serialization scratch recycled across persists (provider sections
-  /// followed by one "__engine" section): steady-state saves reuse the
-  /// payload buffers instead of reallocating ~the full provider state at
-  /// every persisted safe point.
-  std::vector<fault::DurableSection> durable_scratch_;
+  // Fault injection, recovery and durability: the supervisor drives the
+  // RoundAdapter hooks above.
+  fault::RoundSupervisor sup_;
+  /// The staging copy a faulty round rolls back to (snapshot_staging()).
+  Snapshot fault_snap_;
   /// A flush held back by a non-recovered kDelayFlush, stored as run
   /// descriptors.
   struct DelayedFlush {
@@ -873,14 +784,9 @@ class Engine {
     std::vector<Word> words;
   };
   std::vector<DelayedFlush> delayed_;
-  /// Per-faulty-round scratch: machines whose lost deliveries recovery
-  /// re-fetches / machines that went dark without recovery.
-  std::vector<std::size_t> crashed_scratch_;
-  std::vector<std::size_t> dark_scratch_;
   /// Sender-side retention for the detect->retransmit protocol: the
   /// pristine copy of the stream a kCorruptPayload event is about to
-  /// mangle (valid for the machine named by retained_from_ within one
-  /// exchange_faulty).
+  /// mangle (valid within one faulty round).
   struct RetainedStream {
     std::vector<std::uint32_t> tos;
     std::vector<std::uint32_t> counts;
@@ -889,11 +795,10 @@ class Engine {
     std::uint64_t csum = 0;
   };
   RetainedStream retained_;
-  std::size_t retained_from_ = static_cast<std::size_t>(-1);
   /// Publisher-side retention for the store-repair protocol: the pristine
   /// copy of the payload blob a kCorruptStore event is about to mangle
-  /// (valid for the blob named by retained_blob_id_ within one
-  /// exchange_faulty).
+  /// (valid for the blob named by retained_blob_id_ within one faulty
+  /// round).
   std::vector<Word> retained_blob_;
   PayloadId retained_blob_id_ = static_cast<PayloadId>(-1);
 

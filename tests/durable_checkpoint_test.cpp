@@ -296,6 +296,28 @@ TEST(DurableRing, NewestRotFallsBackForEveryBytePosition) {
   EXPECT_EQ(clean->checkpoint.round, 2U);
 }
 
+TEST(DurableRing, OlderRotIsNoFallbackWhenTheNewestVerifies) {
+  // Only a failed generation newer than the one loaded makes a load a
+  // fallback: rot in the older file must not flag a clean load of the
+  // newest.
+  TempDir td;
+  DurableRing ring(td.path + "/ck");
+  ring.save(1, "s", {{"p", {10, 20, 30}}});
+  const std::vector<std::uint64_t> new_payload = {40, 50, 60, 70};
+  ring.save(2, "s", {{"p", new_payload}});
+  const std::string older = ring.generation_paths().front();
+  ASSERT_EQ(fault::read_checkpoint_file(older).round, 1U);
+  std::vector<char> bytes = slurp(older);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+  spit(older, bytes);
+  const auto loaded = ring.load("s");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_FALSE(loaded->fallback);
+  EXPECT_EQ(loaded->checkpoint.round, 2U);
+  ASSERT_EQ(loaded->checkpoint.sections.size(), 1U);
+  EXPECT_EQ(loaded->checkpoint.sections[0].payload, new_payload);
+}
+
 TEST(DurableRing, AllSlotsRottenThrowsAggregateError) {
   TempDir td;
   DurableRing ring(td.path + "/ck");
@@ -643,6 +665,36 @@ TEST(DurableResume, ResumeFallsBackPastARottedOnDiskGeneration) {
   EXPECT_EQ(res.metrics.rounds, clean.metrics.rounds);
   EXPECT_EQ(res.metrics.resume_loads, 1U);
   EXPECT_GE(res.metrics.disk_fallbacks, 1U);
+}
+
+TEST(DurableResume, RotInTheOlderGenerationIsNoDiskFallback) {
+  // The mirror of the test above: two generations on disk, the *older*
+  // one rotted. Resume loads the newest, so disk_fallbacks stays 0.
+  const Graph g = make_family("gnp_sparse", 1200, 25);
+  MatchingMpcOptions opt;
+  opt.seed = 25;
+  const auto clean = matching_mpc(g, opt);
+  TempDir td;
+  MatchingMpcOptions d = opt;
+  d.durable.dir = td.path + "/ck";
+  d.durable.stop_after_safe_points = 5;
+  EXPECT_THROW((void)matching_mpc(g, d), ResumableInterrupt);
+  const std::vector<std::string> paths =
+      DurableRing(td.path + "/ck").generation_paths();
+  ASSERT_EQ(paths.size(), 2U);
+  std::vector<char> bytes = slurp(paths.front());  // oldest first
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+  spit(paths.front(), bytes);
+
+  MatchingMpcOptions r = opt;
+  r.durable.dir = td.path + "/ck";
+  r.durable.resume = true;
+  const auto res = matching_mpc(g, r);
+  EXPECT_EQ(res.x, clean.x);
+  EXPECT_EQ(res.cover, clean.cover);
+  EXPECT_EQ(res.metrics.rounds, clean.metrics.rounds);
+  EXPECT_EQ(res.metrics.resume_loads, 1U);
+  EXPECT_EQ(res.metrics.disk_fallbacks, 0U);
 }
 
 // ------------------------------------------- short or overlong sections

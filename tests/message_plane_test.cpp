@@ -1,6 +1,6 @@
 // Zero-copy message plane: inbox-view lifetime/aliasing semantics, the
-// interleaving contract between unicast pushes and shared payloads, the
-// inbox() compatibility shim, accounting equivalence between shared and
+// interleaving contract between unicast pushes and shared payloads,
+// InboxView::to_vector, accounting equivalence between shared and
 // materialized delivery, and the streamed-outbox staging (run-length
 // record streams) coupled against the legacy per-word push path. Every
 // scenario runs at one thread and on a four-thread pool, so the one
@@ -87,26 +87,7 @@ TEST_P(MessagePlane, InterleavingPreservesPerSenderPushOrder) {
   e.exchange();
   const std::vector<Word> expected{11, 1, 100, 101, 2, 3, 200, 4, 200};
   EXPECT_EQ(view_words(e.inbox_view(0)), expected);
-  EXPECT_EQ(e.inbox(0), expected);  // shim agrees word-for-word
-}
-
-TEST_P(MessagePlane, ShimMatchesViewOnMixedTraffic) {
-  Engine e = make_engine(GetParam());
-  const std::vector<Word> payload{42, 43, 44};
-  for (std::size_t from = 0; from < 4; ++from) {
-    for (std::size_t to = 0; to < 4; ++to) {
-      if (from == to) continue;
-      e.push(from, to, Word{from * 10 + to});
-    }
-    const std::vector<std::size_t> dests{(from + 1) % 4, (from + 2) % 4};
-    e.push_broadcast(from, dests, payload);
-  }
-  e.exchange();
-  for (std::size_t machine = 0; machine < 4; ++machine) {
-    const InboxView v = e.inbox_view(machine);
-    EXPECT_EQ(view_words(v), e.inbox(machine)) << "machine " << machine;
-    EXPECT_EQ(v.size(), e.inbox(machine).size());
-  }
+  EXPECT_EQ(e.inbox_view(0).to_vector(), expected);
 }
 
 TEST_P(MessagePlane, StagedPayloadSharedAcrossSenders) {
@@ -146,7 +127,7 @@ TEST_P(MessagePlane, ViewsDescribeOnlyTheLatestExchange) {
   e.push(2, 1, Word{9});
   e.exchange();
   EXPECT_EQ(view_words(e.inbox_view(1)), (std::vector<Word>{9}));
-  EXPECT_EQ(e.inbox(1), (std::vector<Word>{9}));
+  EXPECT_EQ(e.inbox_view(1).to_vector(), (std::vector<Word>{9}));
   // An empty round wipes inboxes too.
   e.exchange();
   EXPECT_TRUE(e.inbox_view(1).empty());
@@ -161,7 +142,7 @@ TEST_P(MessagePlane, ClearInboxesEmptiesViews) {
   EXPECT_EQ(e.inbox_view(1).size(), 3U);
   e.clear_inboxes();
   EXPECT_TRUE(e.inbox_view(1).empty());
-  EXPECT_TRUE(e.inbox(1).empty());
+  EXPECT_TRUE(e.inbox_view(1).to_vector().empty());
 }
 
 TEST_P(MessagePlane, EmptyPayloadIsANoOp) {
@@ -224,7 +205,7 @@ TEST_P(MessagePlane, AccountingMatchesMaterializedDelivery) {
   EXPECT_EQ(a.violations, b.violations);
   for (std::size_t machine = 0; machine < 4; ++machine) {
     EXPECT_EQ(view_words(shared_e.inbox_view(machine)),
-              plain_e.inbox(machine))
+              plain_e.inbox_view(machine).to_vector())
         << "machine " << machine;
   }
 }
@@ -290,7 +271,7 @@ TEST_P(MessagePlane, OutboxMatchesPerWordPush) {
   legacy.exchange();
   for (std::size_t machine = 0; machine < 4; ++machine) {
     EXPECT_EQ(view_words(streamed.inbox_view(machine)),
-              legacy.inbox(machine))
+              legacy.inbox_view(machine).to_vector())
         << "machine " << machine;
   }
   EXPECT_EQ(streamed.metrics().total_words, legacy.metrics().total_words);
@@ -324,7 +305,7 @@ TEST_P(MessagePlane, OutboxInterleavesWithSharedSplices) {
   e.exchange();
   EXPECT_EQ(view_words(e.inbox_view(0)),
             (std::vector<Word>{1, 2, 100, 101, 3, 200, 4}));
-  EXPECT_EQ(e.inbox(0), view_words(e.inbox_view(0)));
+  EXPECT_EQ(e.inbox_view(0).to_vector(), view_words(e.inbox_view(0)));
 }
 
 /// Randomized coupling of the streamed-outbox staging against the legacy
@@ -405,9 +386,9 @@ TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
     ASSERT_EQ(a.violations, b.violations) << "round " << round;
     for (std::size_t machine = 0; machine < kMachines; ++machine) {
       const InboxView view = streamed.inbox_view(machine);
-      ASSERT_EQ(view_words(view), legacy.inbox(machine))
+      ASSERT_EQ(view_words(view), legacy.inbox_view(machine).to_vector())
           << "round " << round << " machine " << machine;
-      ASSERT_EQ(view.size(), legacy.inbox(machine).size());
+      ASSERT_EQ(view.size(), legacy.inbox_view(machine).to_vector().size());
     }
   }
 }

@@ -20,7 +20,7 @@ TEST(Engine, DeliversInSenderOrder) {
   e.push(1, 0, Word{11});
   e.push(1, 0, Word{12});
   e.exchange();
-  const auto& in = e.inbox(0);
+  const auto in = e.inbox_view(0).to_vector();
   ASSERT_EQ(in.size(), 3U);
   EXPECT_EQ(in[0], 11U);  // sender 1 before sender 2
   EXPECT_EQ(in[1], 12U);
@@ -40,7 +40,7 @@ TEST(Engine, SpanPush) {
   const std::vector<Word> payload{1, 2, 3};
   e.push(0, 1, payload);
   e.exchange();
-  EXPECT_EQ(e.inbox(1).size(), 3U);
+  EXPECT_EQ(e.inbox_view(1).to_vector().size(), 3U);
 }
 
 TEST(Engine, StrictSendOverflowThrows) {
@@ -64,7 +64,8 @@ TEST(Engine, NonStrictCountsViolations) {
   for (int i = 0; i < 6; ++i) e.push(0, 1, Word{0});
   e.exchange();
   EXPECT_GE(e.metrics().violations, 1U);
-  EXPECT_EQ(e.inbox(1).size(), 6U);  // still delivered for observability
+  // Still delivered for observability.
+  EXPECT_EQ(e.inbox_view(1).to_vector().size(), 6U);
 }
 
 TEST(Engine, PeakMetricsTrack) {
@@ -103,9 +104,9 @@ TEST(Engine, LargeClusterFlatPathKeepsInboxContract) {
   e.push(2, 0, span);
   e.push(2, 5, Word{77});
   e.exchange();
-  EXPECT_EQ(e.inbox(0),
+  EXPECT_EQ(e.inbox_view(0).to_vector(),
             (std::vector<Word>{11, 12, 21, 22, 23, 99}));
-  EXPECT_EQ(e.inbox(5), (std::vector<Word>{77}));
+  EXPECT_EQ(e.inbox_view(5).to_vector(), (std::vector<Word>{77}));
   EXPECT_EQ(e.metrics().rounds, 1U);
   EXPECT_EQ(e.metrics().max_sent_words, 4U);      // machine 2 sent 4
   EXPECT_EQ(e.metrics().max_received_words, 6U);  // machine 0 received 6
@@ -122,7 +123,8 @@ TEST(Engine, LargeClusterFlatPathKeepsInboxContract) {
   }
   e.exchange();
   for (const std::size_t to : {0UL, 1UL, 7UL, 599UL}) {
-    EXPECT_EQ(e.inbox(to), expected[to]) << "machine " << to;
+    EXPECT_EQ(e.inbox_view(to).to_vector(), expected[to])
+        << "machine " << to;
   }
   EXPECT_EQ(e.metrics().rounds, 2U);
   EXPECT_EQ(e.metrics().max_sent_words, 3 * m);
