@@ -61,13 +61,9 @@ BENCHMARK(E13_CcliqueMis)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// Segmented delivery view vs per-word Message materialization: routes the
-// E13 gather shape (every player bursts toward the leader) through
-// lenzen_route_view and pins that the per-word 16-byte expansion is gone —
-// `materialized_words` stays 0 on the view path (the engine counts every
-// word the legacy wrapper expands), and the view costs O(segments), not
-// O(words). `mat_over_view` reports the wall-clock ratio of the
-// materializing wrapper over the view for the same stream.
+// Segmented delivery view: routes the E13 gather shape (every player bursts
+// toward the leader) through lenzen_route_view, which delivers per-receiver
+// run segments over the routed stream — O(segments), not O(words).
 void E13_RouteDeliveryView(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   cclique::Engine engine(n);
@@ -91,16 +87,6 @@ void E13_RouteDeliveryView(benchmark::State& state) {
     view_segments = views[0].segments().size();
     benchmark::DoNotOptimize(view_words);
   }
-  const std::size_t materialized_after_view =
-      engine.route_words_materialized();
-
-  double mat_ms = 0.0;
-  {
-    const WallTimer timer;
-    const auto& delivered = engine.lenzen_route(stream);
-    mat_ms = timer.elapsed_ms();
-    benchmark::DoNotOptimize(delivered[0].size());
-  }
 
   emit_json_line("E13_RouteDeliveryView/" + std::to_string(n), n,
                  stream.size(), engine.metrics().rounds, view_ms,
@@ -109,12 +95,7 @@ void E13_RouteDeliveryView(benchmark::State& state) {
   state.counters["routed_words"] = static_cast<double>(stream.size());
   state.counters["view_words"] = static_cast<double>(view_words);
   state.counters["view_segments"] = static_cast<double>(view_segments);
-  // The headline pin: zero per-word Message records on the view path.
-  state.counters["materialized_words"] =
-      static_cast<double>(materialized_after_view);
   state.counters["view_ms"] = view_ms;
-  state.counters["mat_ms"] = mat_ms;
-  state.counters["mat_over_view"] = view_ms > 0.0 ? mat_ms / view_ms : 0.0;
 }
 BENCHMARK(E13_RouteDeliveryView)
     ->Arg(1 << 10)

@@ -264,36 +264,6 @@ const std::vector<RouteView>& Engine::lenzen_route_view(
   return route_view_;
 }
 
-const std::vector<std::vector<Message>>& Engine::lenzen_route(
-    const RouteStream& stream) {
-  const std::vector<RouteView>& views = lenzen_route_view(stream);
-  if (route_delivered_.empty()) route_delivered_.resize(n_);
-  for (const PlayerId p : route_mat_touched_) route_delivered_[p].clear();
-  route_mat_touched_.clear();
-  for (const PlayerId p : route_touched_) {
-    std::vector<Message>& dst = route_delivered_[p];
-    route_mat_touched_.push_back(p);
-    const RouteView& view = views[p];
-    dst.reserve(view.size());
-    for (const RouteSegment& seg : view.segments()) {
-      for (std::uint32_t i = 0; i < seg.count; ++i) {
-        dst.push_back(Message{seg.from, p, seg.words[i]});
-      }
-    }
-    route_words_materialized_ += view.size();
-  }
-  return route_delivered_;
-}
-
-const std::vector<std::vector<Message>>& Engine::lenzen_route(
-    std::vector<Message> messages) {
-  route_restage_.clear();
-  for (const Message& msg : messages) {
-    route_restage_.append(msg.from, msg.to, msg.word);
-  }
-  return lenzen_route(route_restage_);
-}
-
 // ---------------------------------------------------------------------------
 // Fault injection & recovery (see set_fault_plan).
 
@@ -519,16 +489,13 @@ void Engine::verify_store(const char* where) const {
 }
 
 void Engine::scrub_pass() {
-  // Proactive verification sweep over everything the player set retains:
-  // the point-to-point streams, the broadcast store, and the checkpoint
-  // generation ring.  Rot that escaped the repair path is fatal here
+  // Proactive verification sweep over the point-to-point streams and the
+  // broadcast store: rot that escaped the repair path is fatal here
   // exactly as it would be at delivery, but the accumulators keep folding
-  // until the round actually delivers.  Checkpoint rot is left for
-  // restore-time fallback (repairing it here would mask the ring's
-  // retention contract).
+  // until the round actually delivers.  Checkpoint generations are not
+  // swept: their rot is found (and fallen back past) at restore time.
   verify_streams("in scrub at round ", false);
   verify_store("in scrub at round ");
-  sup_.scrub_checkpoints();
   ++metrics_.scrub_passes;
 }
 

@@ -53,13 +53,13 @@ struct Message {
   Word word;
 };
 
-/// Run-length staged message multiset for Engine::lenzen_route — the same
-/// span/run form the MPC engine's streamed outboxes use. A driver appends
-/// words (or whole word runs) instead of materializing 16-byte Message
-/// records; consecutive appends sharing a (from, to) pair extend one run
-/// descriptor over the contiguous word stream, so a vertex's burst to the
-/// leader stages as one descriptor + its words. Reusable: clear() between
-/// route calls keeps the buffers warm.
+/// Run-length staged message multiset for Engine::lenzen_route_view — the
+/// same span/run form the MPC engine's streamed outboxes use. A driver
+/// appends words (or whole word runs) instead of materializing 16-byte
+/// Message records; consecutive appends sharing a (from, to) pair extend
+/// one run descriptor over the contiguous word stream, so a vertex's burst
+/// to the leader stages as one descriptor + its words. Reusable: clear()
+/// between route calls keeps the buffers warm.
 class RouteStream {
  public:
   void clear() noexcept {
@@ -136,12 +136,10 @@ struct RouteSegment {
 };
 
 /// Segmented per-player delivery view for Engine::lenzen_route_view — the
-/// cclique analogue of mpc::InboxView. Where the legacy lenzen_route
-/// materializes one 16-byte Message per routed word, the view holds one
-/// RouteSegment per delivered batch run: O(runs) descriptors over the
-/// already-resident stream words, zero per-word expansion. Segments are in
-/// delivery order (batch-major, then batch-run order), which matches the
-/// legacy per-player Message order word for word.
+/// cclique analogue of mpc::InboxView. The view holds one RouteSegment per
+/// delivered batch run: O(runs) descriptors over the already-resident
+/// stream words, zero per-word expansion. Segments are in delivery order
+/// (batch-major, then batch-run order).
 class RouteView {
  public:
   /// Words delivered to this player.
@@ -218,9 +216,9 @@ class Engine final : private fault::RoundAdapter {
   /// splits preserve the routed word total — throwing AuditError on any
   /// violation.  `scrub_interval` arms the opt-in round-boundary scrub
   /// (every scrub_interval-th round; 0 = never): a pure verification sweep
-  /// over the point-to-point streams, the broadcast store, and the
-  /// checkpoint generations, observable on a clean run only as
-  /// Metrics::scrub_passes.  Inert without `integrity` (no digests exist).
+  /// over the point-to-point streams and the broadcast store, observable
+  /// on a clean run only as Metrics::scrub_passes.  Inert without
+  /// `integrity` (no digests exist).
   /// `threads` selects the execution backend (see mpc/backend.h): 1 runs
   /// every chunk on the caller, > 1 = a shared-memory pool the drivers run
   /// their per-player local loops through (outputs and all logical Metrics
@@ -272,28 +270,6 @@ class Engine final : private fault::RoundAdapter {
   /// be flushed (exchange()d) first; mixing throws.
   const std::vector<RouteView>& lenzen_route_view(const RouteStream& stream);
 
-  /// Materializing form: routes via lenzen_route_view and expands the
-  /// delivered views into per-destination Message buckets (16 bytes per
-  /// routed word — the expansion the view form exists to avoid; the words
-  /// expanded are tallied in route_words_materialized()). Batch splits,
-  /// delivery order, and metrics are bit-identical to the view form.
-  const std::vector<std::vector<Message>>& lenzen_route(
-      const RouteStream& stream);
-
-  /// Legacy form: restages `messages` as a run-length stream (adjacent
-  /// same-pair messages merge into runs) and routes it. Batch splits,
-  /// delivery order, and metrics are bit-identical to the pre-stream
-  /// per-message routing.
-  const std::vector<std::vector<Message>>& lenzen_route(
-      std::vector<Message> messages);
-
-  /// Words expanded into Message records by the materializing lenzen_route
-  /// wrappers, cumulative. Stays 0 on the lenzen_route_view path — the E13
-  /// bench pins exactly that.
-  [[nodiscard]] std::size_t route_words_materialized() const noexcept {
-    return route_words_materialized_;
-  }
-
   /// Opaque copy of the staged round (pending sends, broadcast queue,
   /// checksum accumulators) plus Metrics, taken at a round boundary.
   class Snapshot {
@@ -316,9 +292,9 @@ class Engine final : private fault::RoundAdapter {
 
   /// Attaches a deterministic fault schedule and the driver's checkpoint
   /// registry (see fault::RoundSupervisor::set_fault_plan; "machine" means
-  /// player here). lenzen_route treats every fault in a batch's two rounds
-  /// as recovered: the scheme's batch structure is its own retransmission
-  /// unit.
+  /// player here). lenzen_route_view treats every fault in a batch's two
+  /// rounds as recovered: the scheme's batch structure is its own
+  /// retransmission unit.
   void set_fault_plan(const fault::FaultPlan* plan,
                       fault::CheckpointRegistry* registry = nullptr,
                       bool recover = true) {
@@ -433,9 +409,9 @@ class Engine final : private fault::RoundAdapter {
   /// FNV-1a over every staged broadcast word, in staging order.
   [[nodiscard]] std::uint64_t bcast_digest() const;
   /// The opt-in proactive scrub: re-digests the point-to-point streams and
-  /// the broadcast store (non-destructively) and re-verifies every
-  /// retained checkpoint generation.  Throws IntegrityError on rot that
-  /// escaped repair; otherwise observable only as Metrics::scrub_passes.
+  /// the broadcast store (non-destructively).  Throws IntegrityError on
+  /// rot that escaped repair; otherwise observable only as
+  /// Metrics::scrub_passes.
   void scrub_pass();
   void begin_audit();
   /// Closes the conservation equations for the round just delivered.
@@ -475,24 +451,16 @@ class Engine final : private fault::RoundAdapter {
     std::uint32_t count;
     std::size_t offset;
   };
-  /// lenzen_route scratch, persistent across calls: per-destination
+  /// lenzen_route_view scratch, persistent across calls: per-destination
   /// segmented views (touched-only clearing), per-batch run chunks, and
   /// per-batch sender/receiver load counters (touched entries reset after
   /// routing), so a call allocates nothing after warm-up.
   std::vector<RouteView> route_view_;
   std::vector<PlayerId> route_touched_;
-  /// Materializing-wrapper scratch: per-destination Message buckets plus
-  /// their own touched list (the wrapper may be warm while view callers
-  /// run in between).
-  std::vector<std::vector<Message>> route_delivered_;
-  std::vector<PlayerId> route_mat_touched_;
-  std::size_t route_words_materialized_ = 0;
   std::vector<std::vector<BatchRun>> route_batches_;
   std::vector<std::size_t> route_batch_words_;
   std::vector<std::vector<std::uint32_t>> route_send_load_;
   std::vector<std::vector<std::uint32_t>> route_recv_load_;
-  /// Backs the legacy vector<Message> lenzen_route wrapper.
-  RouteStream route_restage_;
 
   // Fault injection, recovery and durability: the supervisor drives the
   // RoundAdapter hooks above.

@@ -16,7 +16,8 @@
 //
 // Given identical options (seed, alpha, degree_switch, gather budget), this
 // algorithm makes exactly the same decisions as mis_mpc — the two models
-// simulate one process — which the test suite checks output-for-output.
+// run one process (core/mis_greedy.h) over different transports — which
+// the test suite checks output-for-output.
 #ifndef MPCG_CORE_MIS_CCLIQUE_H
 #define MPCG_CORE_MIS_CCLIQUE_H
 

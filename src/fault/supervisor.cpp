@@ -240,13 +240,6 @@ void RoundSupervisor::restore_registry(std::size_t machine, std::size_t round,
   registry_->restore();
 }
 
-void RoundSupervisor::scrub_checkpoints() const {
-  if (registry_ == nullptr) return;
-  for (std::size_t age = 0; age < registry_->generations_held(); ++age) {
-    (void)registry_->generation_ok(age);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // On-disk durability (see fault/durable.h).
 

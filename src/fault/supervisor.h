@@ -12,7 +12,6 @@
 //   * the per-event loop of a faulty round: copy-on-fault capture,
 //     rollback, and the recovery tally;
 //   * verified registry restore with generation fallback;
-//   * the scrub's sweep over the retained checkpoint generations;
 //   * the durable safe-point cycle: the on-disk DurableRing, the safe-point
 //     cadence and stop polling, persisting one generation, and resuming
 //     from the newest verified one.
@@ -237,10 +236,6 @@ class RoundSupervisor {
   void run_faulty_round(RoundAdapter& engine,
                         std::span<const FaultEvent> events,
                         std::size_t round);
-
-  /// The scrub's checkpoint half: re-verifies every retained generation.
-  /// Rot is left for restore-time fallback, so this never throws.
-  void scrub_checkpoints() const;
 
   /// Safe point at `round`: polls the stop flag (persisting one final
   /// generation and throwing ResumableInterrupt when stopping) and

@@ -914,15 +914,12 @@ void Engine::verify_store() const {
 }
 
 void Engine::scrub_pass() {
-  // Proactive verification sweep over everything the system retains: the
-  // payload store, every sender's wire stream, and the checkpoint
-  // generation ring.  Store or stream rot that escaped the repair path is
-  // fatal here exactly as it would be at delivery; checkpoint rot is left
-  // for restore-time fallback (repairing it in place would silently mask
-  // the generation ring's retention contract).
+  // Proactive verification sweep over the payload store and every
+  // sender's wire stream: rot that escaped the repair path is fatal here
+  // exactly as it would be at delivery.  Checkpoint generations are not
+  // swept: their rot is found (and fallen back past) at restore time.
   verify_store();
   verify_streams();
-  sup_.scrub_checkpoints();
   ++metrics_.scrub_passes;
 }
 

@@ -89,10 +89,9 @@ struct Config {
   bool audit = false;
   /// Opt-in round-boundary scrub of the durable stores: every
   /// `scrub_interval`-th round (0 = never) the engine re-digests the
-  /// payload store and every sender's wire stream, and re-verifies the
-  /// retained checkpoint generations, *before* any reader touches the
-  /// round's deliveries.  Requires `integrity` (silently inert without it —
-  /// there are no digests to check).  The scrub is pure verification: on a
+  /// payload store and every sender's wire stream *before* any reader
+  /// touches the round's deliveries.  Requires `integrity` (silently
+  /// inert without it — there are no digests to check).  The scrub is pure verification: on a
   /// fault-free run its only observable is Metrics::scrub_passes, and rot
   /// that escaped the repair path throws IntegrityError (see DESIGN.md,
   /// "Determinism contract").
@@ -670,9 +669,8 @@ class Engine final : private fault::RoundAdapter {
   /// protocol and throws IntegrityError.
   void verify_store() const;
   /// The opt-in proactive scrub (Config::scrub_interval): re-digests the
-  /// payload store and the wire streams and re-verifies every retained
-  /// checkpoint generation.  Pure verification — inert on a clean run
-  /// except for Metrics::scrub_passes.
+  /// payload store and the wire streams.  Pure verification — inert on a
+  /// clean run except for Metrics::scrub_passes.
   void scrub_pass();
   /// Audit mode: records the staged word total (post delayed-injection,
   /// pre fault events) and the fault adjustments baseline for this round.

@@ -74,9 +74,9 @@ TEST(CcEngine, ManyBroadcastersOneRound) {
 
 TEST(CcEngine, LenzenFeasibleBatchTwoRounds) {
   Engine e(4);
-  std::vector<Message> msgs;
-  for (PlayerId p = 0; p < 4; ++p) msgs.push_back({p, 0, p});
-  const auto delivered = e.lenzen_route(std::move(msgs));
+  RouteStream stream;
+  for (PlayerId p = 0; p < 4; ++p) stream.append(p, 0, p);
+  const auto& delivered = e.lenzen_route_view(stream);
   EXPECT_EQ(delivered[0].size(), 4U);
   EXPECT_EQ(e.metrics().rounds, 2U);
   EXPECT_EQ(e.metrics().lenzen_batches, 1U);
@@ -85,57 +85,20 @@ TEST(CcEngine, LenzenFeasibleBatchTwoRounds) {
 TEST(CcEngine, LenzenOverloadSplitsBatches) {
   Engine e(3);
   // 7 messages to player 0; receiver budget is n=3 per batch.
-  std::vector<Message> msgs;
+  RouteStream stream;
   for (int i = 0; i < 7; ++i) {
-    msgs.push_back({static_cast<PlayerId>(i % 3), 0,
-                    static_cast<Word>(i)});
+    stream.append(static_cast<PlayerId>(i % 3), 0, static_cast<Word>(i));
   }
-  const auto delivered = e.lenzen_route(std::move(msgs));
+  const auto& delivered = e.lenzen_route_view(stream);
   EXPECT_EQ(delivered[0].size(), 7U);
   EXPECT_EQ(e.metrics().lenzen_batches, 3U);  // ceil(7/3)
   EXPECT_EQ(e.metrics().rounds, 6U);
 }
 
-TEST(CcEngine, LenzenRouteStreamMatchesMessageForm) {
-  // The run-length stream (per-word appends and whole-run appends alike)
-  // must reproduce the legacy per-message routing exactly: same delivery
-  // contents and order, same batch splits, same metrics.
-  Engine by_stream(3);
-  Engine by_messages(3);
-  const std::vector<Word> burst{40, 41, 42, 43, 44};
-  RouteStream stream;
-  std::vector<Message> msgs;
-  for (int i = 0; i < 7; ++i) {
-    const auto from = static_cast<PlayerId>(i % 3);
-    stream.append(from, 0, static_cast<Word>(i));
-    msgs.push_back({from, 0, static_cast<Word>(i)});
-  }
-  stream.append_run(2, 1, burst);
-  for (const Word w : burst) msgs.push_back({2, 1, w});
-  EXPECT_EQ(stream.size(), msgs.size());
-  const auto& a = by_stream.lenzen_route(stream);
-  const auto& b = by_messages.lenzen_route(std::move(msgs));
-  for (PlayerId p = 0; p < 3; ++p) {
-    ASSERT_EQ(a[p].size(), b[p].size()) << "player " << p;
-    for (std::size_t i = 0; i < a[p].size(); ++i) {
-      EXPECT_EQ(a[p][i].from, b[p][i].from);
-      EXPECT_EQ(a[p][i].word, b[p][i].word);
-    }
-  }
-  EXPECT_EQ(by_stream.metrics().rounds, by_messages.metrics().rounds);
-  EXPECT_EQ(by_stream.metrics().lenzen_batches,
-            by_messages.metrics().lenzen_batches);
-  EXPECT_EQ(by_stream.metrics().total_words,
-            by_messages.metrics().total_words);
-  EXPECT_EQ(by_stream.metrics().max_player_received,
-            by_messages.metrics().max_player_received);
-}
-
 TEST(CcEngine, LenzenRejectsWhileSendsQueued) {
   Engine e(3);
   e.send(0, 1, 1);
-  EXPECT_THROW(e.lenzen_route(std::vector<Message>{}), std::logic_error);
-  EXPECT_THROW(e.lenzen_route(RouteStream{}), std::logic_error);
+  EXPECT_THROW(e.lenzen_route_view(RouteStream{}), std::logic_error);
 }
 
 TEST(CcEngine, OutOfRangePlayersThrow) {

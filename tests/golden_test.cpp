@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,18 +59,6 @@ TEST(Golden, MisMpcExactModeIsStable) {
   EXPECT_EQ(r.metrics.violations, 0U);
 }
 
-TEST(Golden, MisMpcAndCcliqueAgreeExactly) {
-  const Graph g = golden_graph();
-  const std::size_t budget = 4 * g.num_vertices();
-  MisMpcOptions mo;
-  mo.seed = 7;
-  mo.gather_budget = budget;
-  MisCcliqueOptions co;
-  co.seed = 7;
-  co.gather_budget = budget;
-  EXPECT_EQ(mis_mpc(g, mo).mis, mis_cclique(g, co).mis);
-}
-
 // ------------------------------------------------------ MIS driver pins
 
 /// FNV-1a over the MIS and the bytes of the run's Metrics (both engines'
@@ -112,6 +101,35 @@ constexpr MisGoldenCase kMisGolden[] = {
     {"power_law", 1, 0x64ee5fa9661cf872ULL, 0x97450a60ff8300e1ULL},
     {"power_law", 2, 0x2be0b893c97d4e9dULL, 0x8812a5f95451570fULL},
 };
+
+// Both models run one process (core/mis_greedy.h), so for equal schedules
+// they agree on every decision: the members, the phase structure and each
+// gather's edge count — with the sparsified stage in play (n/8) and with
+// one early final gather (4n).
+TEST(Golden, MisMpcAndCcliqueAgreeExactly) {
+  for (const MisGoldenCase& c : kMisGolden) {
+    const Graph g = graph_family(c.family, 4096, c.seed);
+    const std::size_t n = g.num_vertices();
+    for (const std::size_t budget : {n / 8, 4 * n}) {
+      MisMpcOptions mo;
+      mo.seed = c.seed;
+      mo.gather_budget = budget;
+      MisCcliqueOptions co;
+      co.seed = c.seed;
+      co.gather_budget = budget;
+      const MisMpcResult m = mis_mpc(g, mo);
+      const MisCcliqueResult cc = mis_cclique(g, co);
+      const std::string label = std::string(c.family) +
+                                " seed=" + std::to_string(c.seed) +
+                                " budget=" + std::to_string(budget);
+      EXPECT_EQ(m.mis, cc.mis) << label;
+      EXPECT_EQ(m.rank_phases, cc.rank_phases) << label;
+      EXPECT_EQ(m.sparsified_iterations, cc.sparsified_iterations) << label;
+      EXPECT_EQ(m.final_gather_edges, cc.final_gather_edges) << label;
+      EXPECT_EQ(m.window_edges_per_phase, cc.window_edges_per_phase) << label;
+    }
+  }
+}
 
 TEST(Golden, MisDriversMatchThePinAtEveryWidth) {
   for (const MisGoldenCase& c : kMisGolden) {

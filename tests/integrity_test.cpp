@@ -23,6 +23,7 @@
 #include "core/vertex_cover.h"
 #include "fault/checkpoint.h"
 #include "fault/fault_plan.h"
+#include "fault/supervisor.h"
 #include "graph/validation.h"
 #include "mpc/engine.h"
 #include "test_util.h"
@@ -355,6 +356,26 @@ TEST(CorruptionCoupling, MisBitIdenticalAcrossFamilies) {
               repaired.metrics.corruptions_injected)
         << c.family;
     EXPECT_TRUE(is_maximal_independent_set(g, repaired.mis)) << c.family;
+  }
+}
+
+TEST(CorruptionCoupling, UndetectedCorruptionOutOfRangeAtLeaderThrows) {
+  // Integrity off: the flipped bits of this schedule reach the leader's
+  // gather and push an edge endpoint past n. The leader must reject the
+  // word rather than index with it (this run used to crash with SIGSEGV).
+  const Graph g = make_family("gnp_sparse", 3000, 9);
+  const fault::FaultPlan plan = fault::FaultPlan::parse("corrupt:1@3");
+  MisMpcOptions opt;
+  opt.seed = 9;
+  opt.fault_plan = &plan;
+  try {
+    (void)mis_mpc(g, opt);
+    ADD_FAILURE() << "expected fault::IntegrityError";
+  } catch (const fault::IntegrityError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mis_mpc"), std::string::npos) << what;
+    EXPECT_NE(what.find("n = 3000"), std::string::npos) << what;
+    EXPECT_NE(what.find("round"), std::string::npos) << what;
   }
 }
 

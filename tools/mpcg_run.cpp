@@ -395,7 +395,7 @@ int run(const Flags& flags) {
         staged.push_back({static_cast<cclique::PlayerId>(p), to, w});
       }
     }
-    const auto& delivered = engine.lenzen_route(stream);
+    const auto& delivered = engine.lenzen_route_view(stream);
     print_kv("players", players);
     print_kv("routed_words", stream.size());
     print_kv("clique_rounds", engine.metrics().rounds);
@@ -403,8 +403,13 @@ int run(const Flags& flags) {
     if (plan_ptr != nullptr) print_fault_metrics(engine.metrics());
     if (check) {
       std::vector<cclique::Message> got;
-      for (const auto& bucket : delivered) {
-        got.insert(got.end(), bucket.begin(), bucket.end());
+      for (std::size_t p = 0; p < players; ++p) {
+        for (const cclique::RouteSegment& seg : delivered[p].segments()) {
+          for (std::uint32_t i = 0; i < seg.count; ++i) {
+            got.push_back({seg.from, static_cast<cclique::PlayerId>(p),
+                           seg.words[i]});
+          }
+        }
       }
       const auto key = [](const cclique::Message& m) {
         return std::make_tuple(m.from, m.to, m.word);
