@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 
 #include "fault/checkpoint.h"
@@ -172,6 +173,7 @@ const std::vector<RouteView>& Engine::lenzen_route_view(
     route_view_[p].words_ = 0;
   }
   route_touched_.clear();
+  route_corrupt_.clear();
 
   // Split into batches, each feasible for Lenzen's scheme: at most n
   // messages per sender and per receiver. A message goes into the first
@@ -237,17 +239,28 @@ const std::vector<RouteView>& Engine::lenzen_route_view(
     auto& batch = route_batches_[b];
     // Lenzen's scheme delivers a feasible batch in O(1) rounds; we charge
     // the canonical 2 (distribute to intermediaries, forward to targets).
-    lenzen_batch_faults(metrics_.rounds, b);
+    const std::size_t corrupt_first = route_corrupt_.size();
+    lenzen_batch_faults(metrics_.rounds, b, stream);
     metrics_.rounds += 2;
     ++metrics_.lenzen_batches;
     metrics_.total_words += 2 * route_batch_words_[b];
     for (const BatchRun& br : batch) {
       // Segmented delivery: one descriptor per batch run aliasing the
-      // caller's stream words — never a per-word Message expansion.
+      // caller's stream words — never a per-word Message expansion — or,
+      // for a sender whose batch words were corrupted undetected, the
+      // flipped copy.
+      const Word* words = stream.words_.data() + br.offset;
+      for (std::size_t c = corrupt_first; c < route_corrupt_.size(); ++c) {
+        CorruptBatch& copy = route_corrupt_[c];
+        if (copy.from == br.from) {
+          words = copy.words.data() + copy.next;
+          copy.next += br.count;
+          break;
+        }
+      }
       RouteView& dst = route_view_[br.to];
       if (dst.empty()) route_touched_.push_back(br.to);
-      dst.segs_.push_back(
-          RouteSegment{br.from, stream.words_.data() + br.offset, br.count});
+      dst.segs_.push_back(RouteSegment{br.from, words, br.count});
       dst.words_ += br.count;
       // The counter holds this receiver's full batch total by now, so the
       // per-chunk max equals the old full post-count scan.
@@ -536,26 +549,56 @@ void Engine::finish_audit() const {
   }
 }
 
-void Engine::lenzen_batch_faults(std::size_t first_round, std::size_t batch) {
+void Engine::corrupt_batch(std::size_t batch, PlayerId from, std::size_t round,
+                           std::size_t ordinal, const RouteStream& stream) {
+  const std::size_t load = route_send_load_[batch][from];
+  const auto flips = fault::flip_positions(round, from, ordinal, load);
+  if (flips.empty()) return;  // an empty batch load corrupts nothing
+  ++metrics_.corruptions_injected;
+  // The caller's stream is the sender-side retention and stays pristine:
+  // the bits flip in a copy of the sender's batch words (batch-run order),
+  // which a second event in the same batch keeps corrupting.
+  auto copy = std::find_if(route_corrupt_.begin(), route_corrupt_.end(),
+                           [&](const CorruptBatch& cb) {
+                             return cb.batch == batch && cb.from == from;
+                           });
+  if (copy == route_corrupt_.end()) {
+    route_corrupt_.push_back(CorruptBatch{batch, from, {}, 0});
+    copy = std::prev(route_corrupt_.end());
+    for (const BatchRun& br : route_batches_[batch]) {
+      if (br.from != from) continue;
+      const Word* words = stream.words_.data() + br.offset;
+      copy->words.insert(copy->words.end(), words, words + br.count);
+    }
+  }
+  std::vector<Word>& words = copy->words;
+  const std::uint64_t sent = integrity_ ? Fnv::digest(words) : 0;
+  for (const fault::BitFlip& at : flips) words[at.word] ^= Word{1} << at.bit;
+  // Without integrity (or on a digest collision) the receivers read the
+  // flipped copy. With it the checksum catches the change and the batch
+  // structure is its own retransmission unit: the sender's batch load
+  // re-delivers from the pristine stream.
+  if (!integrity_ || Fnv::digest(words) == sent) return;
+  ++metrics_.corruptions_detected;
+  metrics_.words_retransmitted += load;
+  route_corrupt_.erase(copy);
+}
+
+void Engine::lenzen_batch_faults(std::size_t first_round, std::size_t batch,
+                                 const RouteStream& stream) {
   if (sup_.plan() == nullptr) return;
   fault::CheckpointRegistry* registry = sup_.registry();
   bool captured = false;
   for (std::size_t r = first_round; r < first_round + 2; ++r) {
-    for (const fault::FaultEvent& ev : sup_.plan()->events_at(r)) {
+    const auto events = sup_.plan()->events_at(r);
+    for (std::size_t ei = 0; ei < events.size(); ++ei) {
+      const fault::FaultEvent& ev = events[ei];
       if (ev.machine >= n_) continue;
       ++metrics_.faults_injected;
       if (ev.kind == fault::FaultKind::kDuplicateFlush) continue;
       if (ev.kind == fault::FaultKind::kCorruptPayload) {
-        // The batch structure is its own retransmission unit: with
-        // integrity on, the corrupted sender's batch load re-delivers;
-        // without it the corruption is metrics-invisible (the scheme
-        // forwards whatever it was handed).
-        ++metrics_.corruptions_injected;
-        if (integrity_) {
-          ++metrics_.corruptions_detected;
-          metrics_.words_retransmitted +=
-              route_send_load_[batch][ev.machine];
-        }
+        corrupt_batch(batch, static_cast<PlayerId>(ev.machine), r, ei,
+                      stream);
         continue;
       }
       if (ev.kind == fault::FaultKind::kCorruptStore) {

@@ -128,7 +128,9 @@ class RouteStream {
 
 /// One delivered stretch of a routed stream: `count` consecutive words
 /// from one sender, aliasing the caller's RouteStream word storage (valid
-/// while the stream outlives the view and is not mutated).
+/// while the stream outlives the view and is not mutated) — or, when a
+/// fault corrupted the sender's batch undetected, an engine-owned flipped
+/// copy (valid until the next routing call).
 struct RouteSegment {
   PlayerId from;
   const Word* words;
@@ -262,10 +264,10 @@ class Engine final : private fault::RoundAdapter {
   /// Each feasible batch (<= n per sender and per receiver) costs 2 rounds;
   /// batching bookkeeping is paid per *run chunk*, not per word, and
   /// delivery is segmented: each player's view holds O(batch runs)
-  /// descriptors aliasing the caller's stream words — no per-word Message
-  /// materialization at all. The views live in engine-owned persistent
-  /// scratch (valid until the next routing call, while `stream` is alive
-  /// and unmutated) — a call costs O(runs + batches), not O(words) or
+  /// descriptors aliasing the caller's stream words (see RouteSegment for
+  /// corrupted batches) — no per-word Message materialization at all. The
+  /// views live in engine-owned persistent scratch (valid until the next
+  /// routing call, while `stream` is alive and unmutated) — a call costs O(runs + batches), not O(words) or
   /// O(players), after warm-up. Any sends/broadcasts already queued must
   /// be flushed (exchange()d) first; mixing throws.
   const std::vector<RouteView>& lenzen_route_view(const RouteStream& stream);
@@ -417,8 +419,16 @@ class Engine final : private fault::RoundAdapter {
   /// Closes the conservation equations for the round just delivered.
   void finish_audit() const;
   /// Charges recovery metrics for fault events scheduled inside a Lenzen
-  /// batch's two rounds.
-  void lenzen_batch_faults(std::size_t first_round, std::size_t batch);
+  /// batch's two rounds, and applies their wire corruptions.
+  void lenzen_batch_faults(std::size_t first_round, std::size_t batch,
+                           const RouteStream& stream);
+  /// A kCorruptPayload event on `from`'s words in `batch`: flips 1-3 bits
+  /// (fault::flip_positions over the sender's batch load) in a copy in
+  /// route_corrupt_. With integrity on the checksum detects the change,
+  /// the copy is discarded and the load counts as retransmitted; without
+  /// it the sender's batch runs deliver from the copy.
+  void corrupt_batch(std::size_t batch, PlayerId from, std::size_t round,
+                     std::size_t ordinal, const RouteStream& stream);
 
   std::size_t n_;
   bool strict_;
@@ -461,6 +471,17 @@ class Engine final : private fault::RoundAdapter {
   std::vector<std::size_t> route_batch_words_;
   std::vector<std::vector<std::uint32_t>> route_send_load_;
   std::vector<std::vector<std::uint32_t>> route_recv_load_;
+  /// Undetected wire corruption of one sender's words in one batch: the
+  /// flipped copy its batch runs deliver from (`next` is the emission
+  /// cursor). Cleared per routing call; the vectors' buffers stay put
+  /// while the list grows, so views may alias them.
+  struct CorruptBatch {
+    std::size_t batch = 0;
+    PlayerId from = 0;
+    std::vector<Word> words;
+    std::size_t next = 0;
+  };
+  std::vector<CorruptBatch> route_corrupt_;
 
   // Fault injection, recovery and durability: the supervisor drives the
   // RoundAdapter hooks above.

@@ -147,7 +147,6 @@ class MatchingMpcRun {
     dirty_.assign(n_, kLoadDirty);
     local_adj_.emplace(n_);
     announce_parts_.resize(machines_);
-    record_parts_.resize(machines_);
     phase_machine_.resize(n_);
     phase_machine8_.resize(n_);
 
@@ -656,31 +655,6 @@ class MatchingMpcRun {
     return repeated_sum(weight_at(now), deg);
   }
 
-  /// Streams `n` packed records through per-sender buckets so each
-  /// sender's batch drains sequentially through one outbox (the freeze
-  /// reports): per-sender order is the iteration order, exactly as a direct push
-  /// loop would stage, so inboxes and Metrics are unchanged. `sender_of`
-  /// and `packed_of` are indexed by item; `append` unpacks one record
-  /// into the sender's outbox.
-  template <typename SenderOf, typename PackedOf, typename AppendFn>
-  void stream_by_sender(std::size_t n, SenderOf&& sender_of,
-                        PackedOf&& packed_of, AppendFn&& append) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t s = sender_of(i);
-      auto& part = record_parts_[s];
-      if (part.empty()) record_touched_.push_back(s);
-      part.push_back(packed_of(i));
-    }
-    for (const std::uint32_t s : record_touched_) {
-      mpc::Outbox ob = engine_->outbox(s);
-      auto& part = record_parts_[s];
-      ob.reserve(part.size());
-      for (const Word rec : part) append(ob, rec);
-      part.clear();
-    }
-    record_touched_.clear();
-  }
-
   /// Announces freshly decided vertices (frozen with their iteration, or
   /// removed) to the whole cluster: gather at the leader, broadcast the
   /// concatenation. Keeps freeze times common knowledge. ~3 rounds; skipped
@@ -993,20 +967,20 @@ class MatchingMpcRun {
     if (!phase_can_freeze) t_ += iters;
 
     // Machines report the freeze decisions; they become common knowledge.
-    // The reports are bucketed by their simulation machine first so each
-    // sender's batch streams sequentially through one outbox.
-    stream_by_sender(
-        frozen_this_phase_.size(),
-        [&](std::size_t i) {
-          return machine_of_[active_.dense_index(frozen_this_phase_[i].first)];
-        },
-        [&](std::size_t i) {
-          const auto& [v, tf] = frozen_this_phase_[i];
-          return (static_cast<Word>(v) << 32) | tf;
-        },
-        [this](mpc::Outbox& ob, Word rec) {
-          ob.append(home_[static_cast<VertexId>(rec >> 32)], rec);
+    // Each report stages from its simulation machine through the record
+    // shards, chunked like the distribute records, so every sender's
+    // stream is the iteration order a direct push loop would stage.
+    record_shards_.reset(backend.threads(), machines_);
+    backend.run_chunks(
+        0, frozen_this_phase_.size(),
+        [&](std::size_t slot, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const auto& [v, tf] = frozen_this_phase_[i];
+            record_shards_.add(slot, machine_of_[active_.dense_index(v)],
+                               home_[v], (static_cast<Word>(v) << 32) | tf);
+          }
         });
+    record_shards_.drain(backend, to_outbox);
     engine_->exchange();
 
     // The phase's freezes become visible to the home-side load sums below:
@@ -1292,8 +1266,9 @@ class MatchingMpcRun {
   std::vector<std::vector<Word>> announce_parts_;
   // Chunked distribute scratch: cached active-upper spans from the
   // sequential pre-pass, slot-private collections (merged slot-ascending),
-  // and the sharded staging of the distribute edges and records; the
-  // announce records shard the same way.
+  // and the sharded staging of the distribute edges and records (the
+  // freeze reports reuse the record shards once the distribute round has
+  // drained them); the announce records shard the same way.
   std::vector<std::span<const VertexId>> upper_spans_;
   std::vector<std::vector<std::pair<VertexId, VertexId>>> slot_pairs_;
   std::vector<std::size_t> slot_counts_;
@@ -1301,10 +1276,6 @@ class MatchingMpcRun {
   mpc::StageShards edge_shards_;
   mpc::StageShards record_shards_;
   mpc::StageShards announce_shards_;
-  // Persistent sender-bucket staging for the freeze reports (one vector
-  // per machine, touched-only clearing).
-  std::vector<std::vector<Word>> record_parts_;
-  std::vector<std::uint32_t> record_touched_;
 
   /// Flat neighbor-id CSR over the full graph (see constructor): the
   /// 4-byte stream behind the load rescans and departure walks.

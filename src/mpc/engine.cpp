@@ -40,19 +40,6 @@ inline void for_each_run(const std::vector<std::uint32_t>& tos,
   }
 }
 
-/// Appends a run to an inbox whose exact capacity was reserved up front
-/// (the append can never reallocate — segment spans alias the buffer).
-/// Single-word runs — the bulk of scattered traffic — skip the insert
-/// machinery.
-inline void append_run_to(std::vector<Word>& in, const Word* src,
-                          std::size_t count) {
-  if (count == 1) {
-    in.push_back(*src);
-    return;
-  }
-  in.insert(in.end(), src, src + count);
-}
-
 }  // namespace
 
 Engine::Engine(Config config)
@@ -71,7 +58,6 @@ Engine::Engine(Config config)
   inbox_.assign(m, {});
   in_segs_.assign(m, {});
   recv_total_.assign(m, 0);
-  recv_count_.assign(m, 0);
 }
 
 void Outbox::throw_bad_dest(std::size_t to) const {
@@ -160,11 +146,9 @@ void Engine::check_budget(std::size_t machine, std::size_t words,
 }
 
 void Engine::drop_last_round() {
-  if (!shared_round_) return;
   for (const std::size_t t : seg_touched_) in_segs_[t].clear();
   seg_touched_.clear();
   delivered_payloads_.clear();
-  shared_round_ = false;
 }
 
 void Engine::exchange() {
@@ -184,7 +168,6 @@ void Engine::exchange() {
 }
 
 void Engine::deliver() {
-  const std::size_t m = config_.num_machines;
   // The one integrity branch per flush: every sender's staged stream is
   // verified against its append-time checksum — and every staged payload
   // blob against its stage-time digest — before anything delivers.
@@ -197,86 +180,17 @@ void Engine::deliver() {
     verify_store();
   }
   drop_last_round();
-  // Orphaned payloads — staged blobs whose every send descriptor was
-  // destroyed by unrecovered fault corruption — still publish through the
-  // shared path: the blob store is durable (receivers address blobs by
-  // PayloadId), only the inbox deliveries are lost. Unreachable without a
-  // fault plan: drivers never stage without pushing.
-  if (shared_sends_.empty() &&
-      (sup_.plan() == nullptr || staged_payloads_.empty())) {
-    // Payloads staged but never pushed die here, per the lifetime contract.
-    staged_payloads_.clear();
-    staged_digests_.clear();
-    exchange_unicast(m);
-  } else {
-    // Shared-payload rounds splice store-aliasing segments between unicast
-    // stretches per (sender, receiver) pair; the splice machinery stays
-    // sequential on every backend (broadcast/gather rounds move O(n)
-    // words through O(m) descriptors — never the hot surface).
-    exchange_shared(m);
-  }
+  // Every staged payload becomes this round's delivered payload, aliased by
+  // views until the next exchange — even one whose sends a fault dropped:
+  // the blob store is durable, only inbox deliveries are lost. The blobs
+  // were verified against their digests just above and cannot rot
+  // afterwards — faults fire only at round boundaries — so the digests die
+  // with the staging.
+  delivered_payloads_.swap(staged_payloads_);
+  staged_digests_.clear();
+  flush(config_.num_machines);
   if (config_.audit) finish_audit();
   ++metrics_.rounds;
-}
-
-void Engine::deliver_sender_runs(std::size_t from, std::size_t m) {
-  const auto& tos = out_tos_[from];
-  const std::uint32_t* counts = out_counts_[from].data();
-  const Word* words = out_words_[from].data();
-  const std::size_t nw = out_words_[from].size();
-  if (nw >= 2 * m && 2 * tos.size() >= nw) {
-    // Scattered big sender (runs are mostly single words): a word-level
-    // counting sort through the scatter buffer, so each receiver gets one
-    // bulk append instead of one per run. Worth the O(machines)
-    // bookkeeping once the sender moved at least that many words.
-    bucket_count_.assign(m, 0);
-    for_each_run(tos, counts, [&](std::size_t to, std::size_t count) {
-      bucket_count_[to] += count;
-    });
-    bucket_cursor_.resize(m);
-    std::size_t acc = 0;
-    for (std::size_t to = 0; to < m; ++to) {
-      bucket_cursor_[to] = acc;
-      acc += bucket_count_[to];
-    }
-    scatter_.resize(nw);
-    std::size_t pos = 0;
-    for_each_run(tos, counts, [&](std::size_t to, std::size_t count) {
-      if (count == 1) {
-        scatter_[bucket_cursor_[to]++] = words[pos++];
-      } else {
-        copy_run(scatter_.data() + bucket_cursor_[to], words + pos, count);
-        bucket_cursor_[to] += count;
-        pos += count;
-      }
-    });
-    pos = 0;
-    for (std::size_t to = 0; to < m; ++to) {
-      const std::size_t count = bucket_count_[to];
-      if (count > 0) {
-        const std::size_t base = inbox_[to].size();
-        append_run_to(inbox_[to], scatter_.data() + pos, count);
-        if (shared_recv_[to] > 0) {
-          in_segs_[to].emplace_back(inbox_[to].data() + base, count);
-        }
-      }
-      pos += count;
-    }
-  } else {
-    // Run-length delivery: one bulk copy per descriptor. This is the whole
-    // point of the streamed staging — bulky record streams deliver in
-    // O(runs), never re-scanning per word.
-    std::size_t pos = 0;
-    for_each_run(tos, counts, [&](std::size_t to, std::size_t count) {
-      const std::size_t base = inbox_[to].size();
-      append_run_to(inbox_[to], words + pos, count);
-      if (shared_recv_[to] > 0) {
-        in_segs_[to].emplace_back(inbox_[to].data() + base, count);
-      }
-      pos += count;
-    });
-  }
-  clear_sender_staging(from);
 }
 
 void Engine::clear_sender_staging(std::size_t from) {
@@ -287,24 +201,47 @@ void Engine::clear_sender_staging(std::size_t from) {
   if (config_.integrity) out_csums_[from] = Fnv::kOffset;
 }
 
-void Engine::exchange_unicast(std::size_t m) {
+void Engine::flush(std::size_t m) {
+  // Take the shared sends by value first: a strict-mode CapacityError
+  // below must not leave stale sends behind — their payload ids would
+  // dangle into a later round's payload store. Sorted by sender, each
+  // sender's in stream order (seq; ties keep push order).
+  std::vector<SharedSend> sends = std::move(shared_sends_);
+  shared_sends_.clear();
+  std::stable_sort(sends.begin(), sends.end(),
+                   [](const SharedSend& a, const SharedSend& b) {
+                     return a.from < b.from ||
+                            (a.from == b.from && a.seq < b.seq);
+                   });
+  const auto payload_words = [this](const SharedSend& s) {
+    return delivered_payloads_[s.payload].size();
+  };
   // Slot-sharded flush in four phases:
-  //   A (chunked)    per-slot receiver histograms over each slot's
-  //                  contiguous ascending sender range;
+  //   A (chunked)    per-slot receiver histograms of the unicast runs over
+  //                  each slot's contiguous ascending sender range;
   //   B (sequential) combine the histograms in ascending slot order into
-  //                  recv_count_ and per-(slot, receiver) write bases —
-  //                  the positional image of a sender-ascending delivery
-  //                  — and size the inboxes;
-  //   C (chunked)    each slot bulk-copies its senders' runs to its
+  //                  per-(slot, receiver) write bases — the positional
+  //                  image of a sender-ascending delivery — and size the
+  //                  inboxes;
+  //   C (chunked)    each slot bulk-copies its senders' runs to their
   //                  precomputed positions (disjoint across slots by
-  //                  construction) and clears its senders' staging;
-  //   D (sequential) receiving-side budget checks and metrics, ascending.
-  // Every inbox holds its words sender-ascending, each sender's in push
-  // order, for any thread count: slots are ascending sender ranges, each
-  // slot writes its runs in sender-then-push order, and the bases
-  // concatenate the slots in order.
+  //                  construction), records where each of its senders'
+  //                  shared payloads splices in, and clears its senders'
+  //                  staging;
+  //   D (sequential) interleave the splices with the inbox buffers into
+  //                  segment lists, then the receiving-side budget checks
+  //                  and metrics, ascending.
+  // Every inbox holds its words sender-ascending, each sender's unicast
+  // words and payloads in push order, for any thread count: slots are
+  // ascending sender ranges, each slot writes its runs and splices in
+  // sender-then-push order, and the bases concatenate the slots in order.
+  // Shared payloads are charged at full per-destination size.
+  std::size_t si = 0;
   for (std::size_t from = 0; from < m; ++from) {
-    const std::size_t sent = out_words_[from].size();
+    std::size_t sent = out_words_[from].size();
+    for (; si < sends.size() && sends[si].from == from; ++si) {
+      sent += payload_words(sends[si]);
+    }
     metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
     metrics_.total_words += sent;
     check_budget(from, sent, "sent");
@@ -328,28 +265,79 @@ void Engine::exchange_unicast(std::size_t m) {
       slot_cursor_[s * m + to] = acc;
       acc += slot_count_[s * m + to];
     }
-    recv_count_[to] = acc;
+    recv_total_[to] = acc;
     inbox_[to].clear();
     inbox_[to].resize(acc);
   }
+  for (const SharedSend& s : sends) recv_total_[s.to] += payload_words(s);
+  slot_splices_.resize(slots);
+  // Empty chunks never run, so every slot's list is cleared here.
+  for (auto& splices : slot_splices_) splices.clear();
   backend_->run_chunks(
       0, m, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
         std::size_t* cursor = slot_cursor_.data() + slot * m;
+        std::vector<Splice>& splices = slot_splices_[slot];
+        auto s = std::lower_bound(
+            sends.cbegin(), sends.cend(), lo,
+            [](const SharedSend& a, std::size_t f) { return a.from < f; });
         for (std::size_t from = lo; from < hi; ++from) {
+          auto s_end = s;
+          while (s_end != sends.cend() && s_end->from == from) ++s_end;
+          // A payload pushed at stream position seq splices in before the
+          // word at that position: at the receiver's cursor, plus the run
+          // prefix when it lands mid-run on a run to the same receiver.
+          const auto splice = [&](std::size_t mid) {
+            splices.push_back(Splice{s->to, s->payload, cursor[s->to] + mid});
+          };
           const Word* words = out_words_[from].data();
           std::size_t pos = 0;
           for_each_run(out_tos_[from], out_counts_[from].data(),
                        [&](std::size_t to, std::size_t count) {
+                         for (; s != s_end && s->seq < pos + count; ++s) {
+                           splice(s->to == to ? s->seq - pos : 0);
+                         }
                          copy_run(inbox_[to].data() + cursor[to], words + pos,
                                   count);
                          cursor[to] += count;
                          pos += count;
                        });
+          // Sends at the stream's end (pushed after the sender's last word,
+          // or past it when a delayed flush emptied the stream) splice
+          // after all of the sender's words.
+          for (; s != s_end; ++s) splice(0);
           clear_sender_staging(from);
         }
       });
+  if (!sends.empty()) {
+    splices_.clear();
+    for (const auto& splices : slot_splices_) {
+      splices_.insert(splices_.end(), splices.begin(), splices.end());
+    }
+    // Stable by receiver: each receiver's splices stay sender-ascending,
+    // each sender's in push order — ascending buffer offsets.
+    std::stable_sort(splices_.begin(), splices_.end(),
+                     [](const Splice& a, const Splice& b) {
+                       return a.to < b.to;
+                     });
+    for (std::size_t i = 0; i < splices_.size();) {
+      const std::size_t to = splices_[i].to;
+      auto& segs = in_segs_[to];
+      const std::span<const Word> in(inbox_[to]);
+      std::size_t at = 0;
+      seg_touched_.push_back(to);
+      for (; i < splices_.size() && splices_[i].to == to; ++i) {
+        if (splices_[i].at > at) {
+          segs.push_back(in.subspan(at, splices_[i].at - at));
+          at = splices_[i].at;
+        }
+        const auto& payload = delivered_payloads_[splices_[i].payload];
+        segs.emplace_back(payload.data(), payload.size());
+      }
+      if (in.size() > at) segs.push_back(in.subspan(at));
+    }
+  }
   for (std::size_t to = 0; to < m; ++to) {
-    const std::size_t received = recv_count_[to];
+    const std::size_t received = recv_total_[to];
     metrics_.max_received_words = std::max(metrics_.max_received_words,
                                            received);
     check_budget(to, received, "received");
@@ -359,230 +347,10 @@ void Engine::exchange_unicast(std::size_t m) {
   }
 }
 
-std::vector<std::span<const Word>>& Engine::touch_segs(std::size_t to) {
-  if (in_segs_[to].empty()) seg_touched_.push_back(to);
-  return in_segs_[to];
-}
-
-void Engine::deliver_pair_with_shared(std::size_t to,
-                                      std::span<const Word> box,
-                                      std::span<const SharedSend> sends) {
-  // Interleave this pair's unicast words with its shared payloads at the
-  // recorded splice offsets; payload segments alias the stored copy.
-  auto& segs = in_segs_[to];
-  auto& in = inbox_[to];
-  const std::size_t base = in.size();
-  std::size_t cursor = 0;
-  for (const SharedSend& s : sends) {
-    const std::size_t split =
-        std::min<std::size_t>(static_cast<std::size_t>(s.seq), box.size());
-    if (split > cursor) {
-      in.insert(in.end(), box.begin() + static_cast<std::ptrdiff_t>(cursor),
-                box.begin() + static_cast<std::ptrdiff_t>(split));
-      segs.emplace_back(in.data() + base + cursor, split - cursor);
-      cursor = split;
-    }
-    const auto& payload = delivered_payloads_[s.payload];
-    segs.emplace_back(payload.data(), payload.size());
-  }
-  if (box.size() > cursor) {
-    in.insert(in.end(), box.begin() + static_cast<std::ptrdiff_t>(cursor),
-              box.end());
-    segs.emplace_back(in.data() + base + cursor, box.size() - cursor);
-  }
-}
-
-void Engine::exchange_shared(std::size_t m) {
-  shared_round_ = true;
-  delivered_payloads_ = std::move(staged_payloads_);
-  staged_payloads_.clear();
-  // The blobs were verified against these digests just above
-  // (verify_store); delivered blobs cannot rot afterwards — faults fire
-  // only at round boundaries — so the digests die with the staging.
-  staged_digests_.clear();
-  // Take the queue by value first: a strict-mode CapacityError below must
-  // not leave stale sends behind — their payload ids would dangle into a
-  // later round's payload store.
-  std::vector<SharedSend> sends = std::move(shared_sends_);
-  shared_sends_.clear();
-  // Sort sends by (sender, receiver); stable keeps each pair's sends in
-  // chronological (push) order, and seq is non-decreasing within a pair.
-  std::stable_sort(sends.begin(), sends.end(),
-                   [](const SharedSend& a, const SharedSend& b) {
-                     return a.from < b.from ||
-                            (a.from == b.from && a.to < b.to);
-                   });
-  shared_sent_.assign(m, 0);
-  shared_recv_.assign(m, 0);
-  for (const SharedSend& s : sends) {
-    const std::size_t len = delivered_payloads_[s.payload].size();
-    shared_sent_[s.from] += len;
-    shared_recv_[s.to] += len;
-  }
-
-  // Sending side: unicast + shared, charged at full per-destination size.
-  for (std::size_t from = 0; from < m; ++from) {
-    const std::size_t sent = shared_sent_[from] + out_words_[from].size();
-    metrics_.max_sent_words = std::max(metrics_.max_sent_words, sent);
-    metrics_.total_words += sent;
-    check_budget(from, sent, "sent");
-  }
-
-  // Unicast receive counts (for exact inbox reservation — segment spans
-  // alias the inbox buffers, so they must never reallocate mid-delivery),
-  // walking run descriptors, not words.
-  std::fill(recv_count_.begin(), recv_count_.end(), 0);
-  for (std::size_t from = 0; from < m; ++from) {
-    for_each_run(out_tos_[from], out_counts_[from].data(),
-                 [&](std::size_t to, std::size_t count) {
-                   recv_count_[to] += count;
-                 });
-  }
-
-  // Receiving side metrics; register segment lists for machines that get
-  // shared payloads (all other machines keep the single-span fast path).
-  for (std::size_t to = 0; to < m; ++to) {
-    inbox_[to].clear();
-    inbox_[to].reserve(recv_count_[to]);
-    const std::size_t received = recv_count_[to] + shared_recv_[to];
-    metrics_.max_received_words = std::max(metrics_.max_received_words,
-                                           received);
-    check_budget(to, received, "received");
-    metrics_.peak_storage_words = std::max(metrics_.peak_storage_words,
-                                           received);
-    recv_total_[to] = received;
-    if (shared_recv_[to] > 0) touch_segs(to);
-  }
-
-  // Delivery, sender-major so every receiver's segments arrive
-  // sender-ascending.
-  const std::size_t ns = sends.size();
-  std::size_t send_idx = 0;
-  for (std::size_t from = 0; from < m; ++from) {
-    const auto& tos = out_tos_[from];
-    const std::uint32_t* counts = out_counts_[from].data();
-    const Word* words = out_words_[from].data();
-    const std::size_t nw = out_words_[from].size();
-    const std::size_t first = send_idx;
-    while (send_idx < ns && sends[send_idx].from == from) {
-      ++send_idx;
-    }
-    if (first == send_idx) {
-      // No shared traffic from this sender: the plain run-length
-      // delivery, plus segment emission for receivers that need segment
-      // lists.
-      deliver_sender_runs(from, m);
-      continue;
-    }
-    if (nw == 0) {
-      // Broadcast-only sender (the relay-tree shape): no unicast words,
-      // every splice is trivially 0 — skip the counting sort and emit
-      // the payload segments directly, O(sends) instead of O(machines).
-      sender_sends_.assign(
-          sends.begin() + static_cast<std::ptrdiff_t>(first),
-          sends.begin() + static_cast<std::ptrdiff_t>(send_idx));
-      std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
-                       [](const SharedSend& a, const SharedSend& b) {
-                         return a.to < b.to;
-                       });
-      for (const SharedSend& s : sender_sends_) {
-        const auto& payload = delivered_payloads_[s.payload];
-        in_segs_[s.to].emplace_back(payload.data(), payload.size());
-      }
-    } else {
-      // Shared sender: counting-sort the unicast runs so each pair is
-      // one contiguous bucket, compute the within-pair splice offset of
-      // every shared send, then deliver pair by pair.
-      sender_sends_.assign(
-          sends.begin() + static_cast<std::ptrdiff_t>(first),
-          sends.begin() + static_cast<std::ptrdiff_t>(send_idx));
-      std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
-                       [](const SharedSend& a, const SharedSend& b) {
-                         return a.seq < b.seq;
-                       });
-      bucket_count_.assign(m, 0);
-      std::size_t sp = 0;
-      const std::size_t nsend = sender_sends_.size();
-      // seq was the sender-stream position; rewrite it to "how many
-      // unicast words to this dest came before", the splice. One pass
-      // over the runs: a send splicing at stream position s (with
-      // word_pos <= s < word_pos + count) has bucket_count_[its dest]
-      // words of earlier runs before it, plus the s - word_pos words of
-      // the current run when that run shares its destination.
-      std::size_t word_pos = 0;
-      for_each_run(tos, counts, [&](std::size_t rto, std::size_t count) {
-        while (sp < nsend &&
-               sender_sends_[sp].seq <
-                   static_cast<std::uint64_t>(word_pos) + count) {
-          SharedSend& s = sender_sends_[sp];
-          const std::size_t mid =
-              s.to == rto ? static_cast<std::size_t>(s.seq) - word_pos : 0;
-          s.seq = bucket_count_[s.to] + mid;
-          ++sp;
-        }
-        bucket_count_[rto] += count;
-        word_pos += count;
-      });
-      while (sp < nsend) {
-        sender_sends_[sp].seq = bucket_count_[sender_sends_[sp].to];
-        ++sp;
-      }
-      bucket_cursor_.resize(m);
-      std::size_t acc = 0;
-      for (std::size_t to = 0; to < m; ++to) {
-        bucket_cursor_[to] = acc;
-        acc += bucket_count_[to];
-      }
-      scatter_.resize(nw);
-      std::size_t pos = 0;
-      for_each_run(tos, counts, [&](std::size_t rto, std::size_t count) {
-        if (count == 1) {
-          scatter_[bucket_cursor_[rto]++] = words[pos++];
-        } else {
-          copy_run(scatter_.data() + bucket_cursor_[rto], words + pos,
-                   count);
-          bucket_cursor_[rto] += count;
-          pos += count;
-        }
-      });
-      // Stable by receiver: within a pair, splice offsets stay in
-      // chronological (non-decreasing) order.
-      std::stable_sort(sender_sends_.begin(), sender_sends_.end(),
-                       [](const SharedSend& a, const SharedSend& b) {
-                         return a.to < b.to;
-                       });
-      pos = 0;
-      std::size_t sidx = 0;
-      for (std::size_t to = 0; to < m; ++to) {
-        const std::size_t count = bucket_count_[to];
-        const std::size_t sfirst = sidx;
-        while (sidx < nsend && sender_sends_[sidx].to == to) ++sidx;
-        if (sfirst == sidx) {
-          if (count > 0) {
-            const std::size_t base = inbox_[to].size();
-            inbox_[to].insert(inbox_[to].end(), scatter_.data() + pos,
-                              scatter_.data() + pos + count);
-            if (shared_recv_[to] > 0) {
-              in_segs_[to].emplace_back(inbox_[to].data() + base, count);
-            }
-          }
-        } else {
-          deliver_pair_with_shared(
-              to, std::span<const Word>{scatter_.data() + pos, count},
-              std::span<const SharedSend>{sender_sends_.data() + sfirst,
-                                          sidx - sfirst});
-        }
-        pos += count;
-      }
-    }
-    clear_sender_staging(from);
-  }
-}
-
 InboxView Engine::inbox_view(std::size_t machine) const {
   check_machine(machine);
   InboxView v;
-  if (shared_round_ && !in_segs_[machine].empty()) {
+  if (!in_segs_[machine].empty()) {
     v.segs_ = &in_segs_[machine];
     v.words_ = recv_total_[machine];
   } else {
@@ -725,7 +493,7 @@ std::size_t Engine::staged_words(std::size_t machine) const {
 }
 
 std::size_t Engine::received_words(std::size_t machine) const {
-  return shared_round_ ? recv_total_[machine] : recv_count_[machine];
+  return recv_total_[machine];
 }
 
 void Engine::drop_flush(std::size_t machine) {
@@ -786,10 +554,8 @@ void Engine::inject_delayed() {
 
 void Engine::clear_delivered(std::size_t machine) {
   inbox_[machine].clear();
-  if (shared_round_) {
-    in_segs_[machine].clear();
-    recv_total_[machine] = 0;
-  }
+  in_segs_[machine].clear();
+  recv_total_[machine] = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -970,10 +736,9 @@ void Engine::finish_audit() const {
       }
     }
   }
-  // Inbox-view segment bounds: every segment of a shared-round receiver
-  // must alias either its inbox buffer or a delivered payload, and the
-  // segment words must sum to the recorded receive total.
-  if (!shared_round_) return;
+  // Inbox-view segment bounds: every segment of a receiver of shared
+  // payloads must alias either its inbox buffer or a delivered payload,
+  // and the segment words must sum to the recorded receive total.
   const std::less<const Word*> before;  // defined ordering across buffers
   for (const std::size_t to : seg_touched_) {
     std::size_t seg_words = 0;

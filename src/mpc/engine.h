@@ -21,9 +21,11 @@
 //     stored ONCE per staging and delivered as (payload, offset, length)
 //     descriptors — a broadcast of k words to f machines costs O(k + f)
 //     simulator work instead of O(k * f) copies.
-// Inboxes are exposed as ordered segment views (`inbox_view`): each shared
-// payload appears as one segment aliasing the single stored copy, and
-// unicast words as segments into the receiver's inbox buffer.
+// Both kinds travel through one chunked flush per round. Inboxes are
+// exposed as ordered segment views (`inbox_view`): each shared payload
+// appears as one segment aliasing the single stored copy, and the unicast
+// words between two payloads as one segment into the receiver's inbox
+// buffer (it may span several senders).
 // Zero-copy changes *simulation* cost only: metrics (rounds, sent/received
 // words, violations) account shared payloads at full per-destination size,
 // exactly as if every receiver got its own copy.
@@ -329,8 +331,10 @@ class Outbox {
 ///
 /// Segment structure is guaranteed only as far as: every shared payload
 /// delivered to this machine appears as exactly one contiguous segment, in
-/// its contract position. Unicast words may be split across one or more
-/// segments. Word-level iteration (begin()/end()) hides the seams.
+/// its contract position. The unicast words between two payloads (or
+/// before the first, or after the last) form one segment, which may span
+/// several senders; an inbox without payloads is one span. Word-level
+/// iteration (begin()/end()) hides the seams.
 class InboxView {
  public:
   InboxView() = default;
@@ -413,8 +417,8 @@ class InboxView {
 class Engine final : private fault::RoundAdapter {
   /// One queued shared-payload delivery. `seq` snapshots how many unicast
   /// words the sender had queued in total when the shared push happened —
-  /// the splice position that keeps per-sender chronological order in the
-  /// inbox.
+  /// the stream position the flush splices the payload in at, which keeps
+  /// per-sender chronological order in the inbox.
   /// (Declared ahead of the public section so Snapshot can hold them.)
   struct SharedSend {
     std::uint32_t from;
@@ -627,7 +631,7 @@ class Engine final : private fault::RoundAdapter {
   [[nodiscard]] std::size_t staged_words(std::size_t machine) const override;
   [[nodiscard]] std::size_t received_words(
       std::size_t machine) const override;
-  /// The round body: verify, then the unicast or the shared flush.
+  /// The round body: verify, then the flush.
   void deliver() override;
   /// Send-side metrics keep a dark machine's words: they were sent, they
   /// just hit a dead host.
@@ -678,27 +682,15 @@ class Engine final : private fault::RoundAdapter {
   /// Audit mode: checks conservation, capacity tallies, and segment bounds
   /// for the round just delivered; throws AuditError on violation.
   void finish_audit() const;
-  /// The unicast flush (rounds without shared payloads): per-slot
-  /// sender-range histograms, one sequential prefix/budget pass, then
-  /// positional run copies into exactly-sized inboxes. The slots are
-  /// ascending sender ranges, so the delivered inboxes and all Metrics are
-  /// the same for every thread count (see DESIGN.md, "Execution
-  /// backends"); at one thread the whole flush is one slot.
-  void exchange_unicast(std::size_t m);
-  void exchange_shared(std::size_t m);
-  /// Delivers one sender's staged runs into the inboxes (shared rounds),
-  /// with interleaved segment lists for receivers that also get shared
-  /// payloads: one bulk copy per run, except scattered big senders (many
-  /// short runs) which take a word-level counting sort through the
-  /// scatter buffer so a receiver gets one append instead of one per run.
-  /// Clears the sender's staging.
-  void deliver_sender_runs(std::size_t from, std::size_t m);
-  /// Appends `box` to inbox_[to] split around this pair's shared sends
-  /// (whose seq fields hold within-pair splice offsets, chronological
-  /// order), emitting interleaved segments into in_segs_[to].
-  void deliver_pair_with_shared(std::size_t to, std::span<const Word> box,
-                                std::span<const SharedSend> sends);
-  std::vector<std::span<const Word>>& touch_segs(std::size_t to);
+  /// The one flush, for unicast runs and shared payloads alike: per-slot
+  /// sender-range histograms, one sequential prefix pass, positional run
+  /// copies into exactly-sized inboxes (recording each shared payload's
+  /// splice offset on the way), then the segment lists and the receive
+  /// budgets. The slots are ascending sender ranges, so the delivered
+  /// inboxes and all Metrics are the same for every thread count (see
+  /// DESIGN.md, "Execution backends"); at one thread the whole flush is
+  /// one slot.
+  void flush(std::size_t m);
 
   Config config_;
   /// Execution backend (Config::threads wide); shared with the drivers via
@@ -722,8 +714,8 @@ class Engine final : private fault::RoundAdapter {
   /// Per-sender incremental FNV-1a stream checksums (allocated only with
   /// Config::integrity; reset to Fnv::kOffset whenever the stream clears).
   std::vector<std::uint64_t> out_csums_;
-  /// Unicast words delivered to each machine (shared payloads are viewed in
-  /// place, never copied here).
+  /// Unicast words delivered to each machine, sender-ascending (shared
+  /// payloads are viewed in place, never copied here).
   std::vector<std::vector<Word>> inbox_;
 
   // Shared-payload plane. Staged payloads become `delivered_payloads_` at
@@ -742,31 +734,28 @@ class Engine final : private fault::RoundAdapter {
   /// O(touched) teardown.
   std::vector<std::vector<std::span<const Word>>> in_segs_;
   std::vector<std::size_t> seg_touched_;
-  /// Words received this round per machine (unicast + shared), valid for
-  /// machines in seg_touched_.
+  /// Words received this round per machine (unicast + shared).
   std::vector<std::size_t> recv_total_;
-  bool shared_round_ = false;
 
-  /// Per-receiver word counts for the current exchange (scratch).
-  std::vector<std::size_t> recv_count_;
-  /// Per-machine shared sent/received word totals (scratch, shared rounds).
-  std::vector<std::size_t> shared_sent_;
-  std::vector<std::size_t> shared_recv_;
-  /// Counting-sort scratch for scattered senders (see deliver_sender_runs).
-  std::vector<std::size_t> bucket_count_;
-  std::vector<std::size_t> bucket_cursor_;
-  std::vector<Word> scatter_;
-  /// Unicast-flush scratch: per-slot receiver histograms and write
-  /// cursors, slot-major ([slot * m + to]) — merged in ascending slot
-  /// order, which is what makes the flush the same at every thread count.
+  /// Flush scratch: per-slot receiver histograms and write cursors,
+  /// slot-major ([slot * m + to]) — merged in ascending slot order, which
+  /// is what makes the flush the same at every thread count.
   std::vector<std::size_t> slot_count_;
   std::vector<std::size_t> slot_cursor_;
+  /// Where one delivered shared payload goes: before the word at offset
+  /// `at` of receiver `to`'s inbox buffer.
+  struct Splice {
+    std::uint32_t to;
+    PayloadId payload;
+    std::size_t at;
+  };
+  /// Flush scratch: each slot's splices (sender-ascending, push order),
+  /// and their slot-ascending concatenation sorted by receiver.
+  std::vector<std::vector<Splice>> slot_splices_;
+  std::vector<Splice> splices_;
   /// Verify scratch: per-sender / per-blob ok flags (the throw, which must
   /// name the lowest failing index, stays sequential).
   mutable std::vector<char> verify_ok_;
-  /// Shared-round scratch: one sender's shared sends in chronological
-  /// order, with seq rewritten to the within-pair splice offset.
-  std::vector<SharedSend> sender_sends_;
 
   // Fault injection, recovery and durability: the supervisor drives the
   // RoundAdapter hooks above.

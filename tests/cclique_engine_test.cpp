@@ -1,6 +1,9 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cclique/engine.h"
+#include "fault/fault_plan.h"
 
 namespace mpcg::cclique {
 namespace {
@@ -99,6 +102,69 @@ TEST(CcEngine, LenzenRejectsWhileSendsQueued) {
   Engine e(3);
   e.send(0, 1, 1);
   EXPECT_THROW(e.lenzen_route_view(RouteStream{}), std::logic_error);
+}
+
+/// Concatenated words of one player's routed view.
+std::vector<Word> routed_words(const RouteView& view) {
+  std::vector<Word> out;
+  for (const RouteSegment& seg : view.segments()) {
+    out.insert(out.end(), seg.words, seg.words + seg.count);
+  }
+  return out;
+}
+
+TEST(CcEngine, LenzenCorruptionFlipsRoutedWords) {
+  // One feasible batch: player 1 sends 5 words to 0 and 3 to 2, player 3
+  // sends 2 to 0. A corrupt event on player 1 in the batch's first round
+  // flips bits in its 8 batch words on the wire.
+  RouteStream stream;
+  std::vector<Word> want0;
+  std::vector<Word> want2;
+  for (Word w = 0; w < 5; ++w) {
+    stream.append(1, 0, 100 + w);
+    want0.push_back(100 + w);
+  }
+  for (Word w = 0; w < 3; ++w) {
+    stream.append(1, 2, 200 + w);
+    want2.push_back(200 + w);
+  }
+  for (Word w = 0; w < 2; ++w) {
+    stream.append(3, 0, 300 + w);
+    want0.push_back(300 + w);
+  }
+  fault::FaultPlan plan;
+  plan.add_corrupt(1, 0);
+  for (const bool integrity : {false, true}) {
+    SCOPED_TRACE(integrity ? "integrity" : "no integrity");
+    Engine e(16, /*strict=*/true, integrity);
+    e.set_fault_plan(&plan);
+    const auto& views = e.lenzen_route_view(stream);
+    const std::vector<Word> got0 = routed_words(views[0]);
+    const std::vector<Word> got2 = routed_words(views[2]);
+    EXPECT_EQ(e.metrics().lenzen_batches, 1U);
+    EXPECT_EQ(e.metrics().corruptions_injected, 1U);
+    if (integrity) {
+      // Detected and re-delivered from the pristine stream.
+      EXPECT_EQ(got0, want0);
+      EXPECT_EQ(got2, want2);
+      EXPECT_EQ(e.metrics().corruptions_detected, 1U);
+      EXPECT_EQ(e.metrics().words_retransmitted, 8U);
+    } else {
+      // Undetected: the receivers read flipped words, player 3's intact.
+      EXPECT_TRUE(got0 != want0 || got2 != want2);
+      ASSERT_EQ(got0.size(), want0.size());
+      EXPECT_EQ(got0[5], want0[5]);
+      EXPECT_EQ(got0[6], want0[6]);
+      EXPECT_EQ(e.metrics().corruptions_detected, 0U);
+      EXPECT_EQ(e.metrics().words_retransmitted, 0U);
+    }
+  }
+  // The caller's stream was never mutated: a fault-free route reads it
+  // back exactly.
+  Engine clean(16);
+  const auto& views = clean.lenzen_route_view(stream);
+  EXPECT_EQ(routed_words(views[0]), want0);
+  EXPECT_EQ(routed_words(views[2]), want2);
 }
 
 TEST(CcEngine, OutOfRangePlayersThrow) {

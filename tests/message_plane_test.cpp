@@ -5,8 +5,11 @@
 // record streams) coupled against the legacy per-word push path. Every
 // scenario runs at one thread and on a four-thread pool, so the one
 // unicast flush is exercised both as a single slot and sharded.
+#include <algorithm>
 #include <numeric>
 #include <random>
+#include <span>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -391,6 +394,177 @@ TEST_P(StagingCoupling, RandomizedRunStreamsMatchPerWordPush) {
       ASSERT_EQ(view.size(), legacy.inbox_view(machine).to_vector().size());
     }
   }
+}
+
+/// The flush's specification, replayed from a log of every push: a
+/// receiver's inbox is, for senders ascending, that sender's unicast words
+/// and shared payloads to it in push order; a payload counts its full size
+/// once per destination on both sides.
+class PushLog {
+ public:
+  explicit PushLog(std::size_t machines) : by_sender_(machines) {}
+
+  void add(std::size_t from, std::size_t to, std::span<const Word> words) {
+    if (words.empty()) return;
+    by_sender_[from].push_back({to, {words.begin(), words.end()}});
+  }
+
+  /// Replays and clears the log.
+  void replay(std::vector<std::vector<Word>>& inbox,
+              std::vector<std::size_t>& sent,
+              std::vector<std::size_t>& received) {
+    const std::size_t m = by_sender_.size();
+    inbox.assign(m, {});
+    sent.assign(m, 0);
+    received.assign(m, 0);
+    for (std::size_t from = 0; from < m; ++from) {
+      for (const auto& [to, words] : by_sender_[from]) {
+        inbox[to].insert(inbox[to].end(), words.begin(), words.end());
+        sent[from] += words.size();
+        received[to] += words.size();
+      }
+      by_sender_[from].clear();
+    }
+  }
+
+ private:
+  std::vector<std::vector<std::pair<std::size_t, std::vector<Word>>>>
+      by_sender_;
+};
+
+/// Drives `rounds` random rounds of `bursts` sender bursts each — single
+/// words, runs, broadcasts (some empty), gathers, and gathers spliced into
+/// the middle of a run to the same receiver — through one engine, and
+/// checks every inbox and the send/receive Metrics against the PushLog
+/// spec. Every broadcast must arrive as one segment aliasing the stored
+/// copy, and a receiver without payloads must see at most one segment.
+void check_flush_against_spec(std::size_t threads, std::size_t machines,
+                              int rounds, std::size_t bursts,
+                              std::uint64_t seed) {
+  Config cfg;
+  cfg.num_machines = machines;
+  cfg.words_per_machine = 1 << 16;
+  cfg.strict = true;
+  cfg.threads = threads;
+  Engine e(cfg);
+  PushLog log(machines);
+  std::mt19937_64 rng(seed);
+  std::vector<Word> buf;
+  std::vector<Word> tail;
+  std::vector<std::size_t> dests;
+  std::vector<std::vector<Word>> want;
+  std::vector<std::size_t> sent;
+  std::vector<std::size_t> received;
+  std::vector<std::pair<PayloadId, std::vector<std::size_t>>> broadcasts;
+  std::vector<char> gets_payload(machines);
+  Metrics expect{};
+  const auto fill = [&](std::vector<Word>& out, std::size_t len) {
+    out.clear();
+    for (std::size_t i = 0; i < len; ++i) out.push_back(rng());
+  };
+  for (int round = 0; round < rounds; ++round) {
+    broadcasts.clear();
+    std::fill(gets_payload.begin(), gets_payload.end(), 0);
+    for (std::size_t b = 0; b < bursts; ++b) {
+      const std::size_t from = rng() % machines;
+      Outbox ob = e.outbox(from);
+      const std::size_t ops = 1 + rng() % 5;
+      for (std::size_t op = 0; op < ops; ++op) {
+        const std::size_t to = rng() % machines;
+        switch (rng() % 5) {
+          case 0:
+            fill(buf, 1);
+            ob.append(to, buf[0]);
+            log.add(from, to, buf);
+            break;
+          case 1:
+            fill(buf, 1 + rng() % 9);
+            ob.append_run(to, buf);
+            log.add(from, to, buf);
+            break;
+          case 2: {
+            fill(buf, rng() % 4);
+            dests.clear();
+            const std::size_t k = 1 + rng() % 6;
+            for (std::size_t d = 0; d < k; ++d) {
+              dests.push_back(rng() % machines);
+            }
+            const PayloadId pid = e.push_broadcast(from, dests, buf);
+            for (const std::size_t d : dests) {
+              log.add(from, d, buf);
+              if (!buf.empty()) gets_payload[d] = 1;
+            }
+            if (!buf.empty()) broadcasts.emplace_back(pid, dests);
+            break;
+          }
+          case 3:
+            fill(buf, 1 + rng() % 3);
+            e.push_gather(from, to, buf);
+            log.add(from, to, buf);
+            gets_payload[to] = 1;
+            break;
+          default:
+            // A payload spliced mid-run: the run to `to` stays open across
+            // the gather, so its words straddle the splice point.
+            fill(tail, 2);
+            ob.append_run(to, tail);
+            log.add(from, to, tail);
+            fill(buf, 1 + rng() % 3);
+            e.push_gather(from, to, buf);
+            log.add(from, to, buf);
+            gets_payload[to] = 1;
+            fill(tail, 2);
+            ob.append_run(to, tail);
+            log.add(from, to, tail);
+            break;
+        }
+      }
+    }
+    e.exchange();
+    log.replay(want, sent, received);
+    for (std::size_t i = 0; i < machines; ++i) {
+      expect.max_sent_words = std::max(expect.max_sent_words, sent[i]);
+      expect.max_received_words =
+          std::max(expect.max_received_words, received[i]);
+      expect.total_words += sent[i];
+    }
+    const Metrics& got = e.metrics();
+    ASSERT_EQ(got.rounds, static_cast<std::size_t>(round) + 1);
+    ASSERT_EQ(got.max_sent_words, expect.max_sent_words) << "round " << round;
+    ASSERT_EQ(got.max_received_words, expect.max_received_words)
+        << "round " << round;
+    ASSERT_EQ(got.total_words, expect.total_words) << "round " << round;
+    for (std::size_t to = 0; to < machines; ++to) {
+      const InboxView view = e.inbox_view(to);
+      ASSERT_EQ(view_words(view), want[to])
+          << "round " << round << " machine " << to;
+      ASSERT_EQ(view.size(), received[to]);
+      if (!gets_payload[to]) ASSERT_LE(view.num_segments(), 1U);
+    }
+    for (const auto& [pid, to_list] : broadcasts) {
+      const std::span<const Word> stored = e.delivered_payload(pid);
+      for (const std::size_t d : to_list) {
+        const InboxView view = e.inbox_view(d);
+        bool aliased = false;
+        for (std::size_t i = 0; i < view.num_segments(); ++i) {
+          aliased |= view.segment(i).data() == stored.data() &&
+                     view.segment(i).size() == stored.size();
+        }
+        ASSERT_TRUE(aliased) << "round " << round << " machine " << d;
+      }
+    }
+  }
+}
+
+TEST_P(StagingCoupling, FlushMatchesPushLogSpec) {
+  check_flush_against_spec(GetParam(), 6, 60, 8, 0x5bec);
+}
+
+TEST_P(StagingCoupling, WideClusterFlushMatchesPushLogSpec) {
+  // Past the pool's inline threshold (inline_grain() machines per
+  // thread), so at four threads the flush's chunks run concurrently.
+  const std::size_t machines = 4 * ParallelBackend::inline_grain() + 4;
+  check_flush_against_spec(GetParam(), machines, 4, 3000, 0x31de);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, StagingCoupling,

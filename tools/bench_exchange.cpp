@@ -20,7 +20,7 @@
 // thread on every logical counter, whatever it costs or saves in wall
 // clock.
 //
-// Usage: bench_exchange_crossover [rounds] [words_per_machine]
+// Usage: bench_exchange [rounds] [words_per_machine]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

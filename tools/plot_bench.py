@@ -11,9 +11,12 @@ Usage:
                         [--families E01,E06] [--table]
                         [--baseline BENCH_prN.json]
 
---baseline pins the speedup column (and the first plot series) to an
+--baseline pins the delta columns (and the first plot series) to an
 explicit file — equivalent to listing it first, but immune to argument
 order, so CI can always compare against the committed per-PR baseline.
+The deltas compare model cost (rounds, peak_words), which is the same on
+every host; wall_ms is printed for information only, since a baseline
+recorded on another machine says nothing about this one's clock.
 
 One figure per benchmark family (the name prefix before '/'), with wall_ms
 and rounds as separate stacked panels (never a dual axis) over n. Each input
@@ -78,16 +81,23 @@ def aggregate(rows):
     return best
 
 
+def delta(row, base_row, key):
+    """Signed difference of one model-cost field against the baseline row."""
+    diff = row.get(key, 0) - base_row.get(key, 0)
+    return f"{diff:+d}" if isinstance(diff, int) else f"{diff:+.6g}"
+
+
 def print_table(series_by_file, families):
-    # The first input file is the baseline: every later file's rows get a
-    # per-PR speedup column (baseline wall_ms / this wall_ms for the same
-    # benchmark name, min-of-N on both sides). Rows are grouped by workload
+    # The first input file is the baseline: every later file's rows get
+    # d_rounds / d_peak deltas (this row minus the same-named baseline row;
+    # blank when the baseline has no such row). Rows are grouped by workload
     # (the non-numeric middle of the name — e.g. the rmat/star rows of
     # E06_FrontierDecay each form a group) with a separator per group.
     labels = list(series_by_file)
     baseline = series_by_file[labels[0]] if labels else {}
     header = f"{'family/name':<40} {'file':<20} {'n':>10} {'rounds':>8} " \
-             f"{'wall_ms':>12} {'peak_words':>12} {'speedup':>8}"
+             f"{'wall_ms':>12} {'peak_words':>12} {'d_rounds':>9} " \
+             f"{'d_peak':>10}"
     print(header)
     print("-" * len(header))
     for fam in families:
@@ -104,16 +114,16 @@ def print_table(series_by_file, families):
                 for name, row in sorted(rows,
                                         key=lambda kv: kv[1].get("n", 0)):
                     base_row = baseline.get(fam, {}).get(name)
-                    wall = row.get("wall_ms", 0.0)
-                    if label == labels[0] or base_row is None or wall <= 0.0:
-                        speedup = ""
+                    if label == labels[0] or base_row is None:
+                        d_rounds = d_peak = ""
                     else:
-                        speedup = f"{base_row.get('wall_ms', 0.0) / wall:.2f}x"
+                        d_rounds = delta(row, base_row, "rounds")
+                        d_peak = delta(row, base_row, "peak_words")
                     print(f"{name:<40} {label:<20} {row.get('n', 0):>10} "
                           f"{row.get('rounds', 0):>8} "
-                          f"{wall:>12.3f} "
+                          f"{row.get('wall_ms', 0.0):>12.3f} "
                           f"{row.get('peak_words', 0):>12} "
-                          f"{speedup:>8}")
+                          f"{d_rounds:>9} {d_peak:>10}")
 
 
 def plot(series_by_file, families, out_dir):
@@ -173,7 +183,7 @@ def main():
     parser.add_argument("--table", action="store_true",
                         help="print the text table instead of plotting")
     parser.add_argument("--baseline", default=None, metavar="BENCH_prN.json",
-                        help="file to pin the speedup column against "
+                        help="file to pin the delta columns against "
                              "(placed first regardless of argument order)")
     args = parser.parse_args()
 
